@@ -620,9 +620,8 @@ func runStoreBench(apps []string, budget uint64, reps int, outDir string, minSpe
 }
 
 // runVetBench is the -vet mode: it times the full mbvet pipeline —
-// whole-repository load, type-check, per-package rules, call-graph
-// propagation, and the schema sentinel — and reports the fastest of
-// reps repetitions. Report-only: static analysis rides every CI run, so
+// whole-repository load, type-check, and the rule suite — and reports
+// the fastest of reps repetitions. Report-only: static analysis rides every CI run, so
 // its wall time is a budget worth watching, but no threshold gates it.
 func runVetBench(reps int, outDir string) {
 	var best time.Duration
@@ -637,10 +636,7 @@ func runVetBench(reps int, outDir string) {
 		if err != nil {
 			fatal(err)
 		}
-		findings, err := analysis.AnalyzeAll(pkgs, nil)
-		if err != nil {
-			fatal(err)
-		}
+		findings := analysis.AnalyzeAll(pkgs)
 		elapsed := time.Since(start)
 		if best == 0 || elapsed < best {
 			best = elapsed

@@ -1,43 +1,27 @@
 // Command mbvet is the project's static-analysis driver: it parses and
 // type-checks the requested packages with the standard library's
 // go/parser and go/types (no x/tools, no build cache) and runs the
-// internal/analysis rule suite over them — determinism, hot-path
-// discipline, concurrency hygiene, error conventions, whole-program
-// hot-path propagation over the call graph, and the serialization
-// schema-drift sentinel.
+// internal/analysis rule suite over them — determinism rules and error
+// conventions, the rules with a record of catching real bugs here.
 //
 // Usage:
 //
-//	mbvet [-json] [-reach] [-why] [packages...]
-//	mbvet -update-schema-lock [packages...]
+//	mbvet [-json] [packages...]
 //	mbvet -rules
 //	mbvet -version
 //
 // Package patterns are directories, optionally ending in /... (default
-// ./...). Findings print one per line as file:line:col: rule: message,
-// deterministically sorted by file, line, and column; -json emits a
-// machine-readable report instead. Exit status is 0 when the tree is
-// clean, 1 when findings were reported, and 2 when a package failed to
-// load or type-check.
-//
-// -reach adds one informational hp-reach finding per member of the
-// inferred hot set (annotated roots plus every function statically
-// reachable from them); -why expands the provenance in messages from
-// the originating root to the full root→callee chain.
-//
-// -update-schema-lock regenerates every schema.lock discovered next to
-// the loaded packages from the current source, then exits without
-// running the rules. See DESIGN.md for when a regeneration is
-// sanctioned.
+// ./...); /... stops at nested modules, as the go tool's does. Findings
+// print one per line as file:line:col: rule: message, deterministically
+// sorted by file, line, and column; -json emits a machine-readable
+// report instead. Exit status is 0 when the tree is clean, 1 when
+// findings were reported, and 2 when a package failed to load or
+// type-check.
 //
 // Suppress an individual finding with an inline directive on the same
 // line or the line above, always with a recorded reason:
 //
 //	//mb:ignore det-time progress reporting is wall-clock by design
-//
-// Mark hot-path roots with //mb:hotpath in their doc comment, and
-// terminate propagation at deliberate slow-path boundaries with
-// //mb:coldpath reason.
 package main
 
 import (
@@ -53,15 +37,12 @@ import (
 // version identifies the analyzer build in CI logs. Bump when rules are
 // added or their semantics change, so a new failure in CI can be read
 // next to the analyzer change that caused it.
-const version = "mbvet 1.2.0 (20 rules, whole-program call graph, stdlib go/types)"
+const version = "mbvet 2.0.0 (6 rules)"
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	showVersion := flag.Bool("version", false, "print the analyzer version and exit")
 	showRules := flag.Bool("rules", false, "list all rule IDs with one-line descriptions and exit")
-	reach := flag.Bool("reach", false, "report the inferred hot set (one hp-reach finding per member)")
-	why := flag.Bool("why", false, "show full root→callee propagation chains in messages")
-	updateLock := flag.Bool("update-schema-lock", false, "regenerate schema.lock files from current source and exit")
 	flag.Parse()
 
 	if *showVersion {
@@ -89,21 +70,7 @@ func main() {
 		fatal(err)
 	}
 
-	if *updateLock {
-		updated, err := updateSchemaLocks(pkgs)
-		if err != nil {
-			fatal(err)
-		}
-		if updated == 0 {
-			fatal(fmt.Errorf("no %s found next to the loaded packages", analysis.LockFileName))
-		}
-		return
-	}
-
-	findings, err := analysis.AnalyzeAll(pkgs, &analysis.ProgramConfig{Reach: *reach, Why: *why})
-	if err != nil {
-		fatal(err)
-	}
+	findings := analysis.AnalyzeAll(pkgs)
 	for i := range findings {
 		findings[i].File = relPath(findings[i].File)
 	}
@@ -129,33 +96,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// updateSchemaLocks regenerates every lock file discovered next to the
-// loaded packages, returning how many were rewritten.
-func updateSchemaLocks(pkgs []*analysis.Package) (int, error) {
-	updated := 0
-	seen := map[string]bool{}
-	for _, pkg := range pkgs {
-		lockPath := filepath.Join(pkg.Dir, analysis.LockFileName)
-		if seen[lockPath] {
-			continue
-		}
-		if _, err := os.Stat(lockPath); err != nil {
-			continue
-		}
-		seen[lockPath] = true
-		lock, err := analysis.ParseSchemaLock(lockPath)
-		if err != nil {
-			return updated, err
-		}
-		if err := analysis.UpdateSchemaLock(pkgs, lock); err != nil {
-			return updated, err
-		}
-		fmt.Fprintf(os.Stderr, "mbvet: rewrote %s\n", relPath(lockPath))
-		updated++
-	}
-	return updated, nil
 }
 
 // relPath shortens an absolute path to be cwd-relative when possible,

@@ -4,12 +4,10 @@
 // testing.AllocsPerRun, failing with a full budget table so a
 // regression names every path at once instead of the first one hit.
 //
-// The gates are the runtime counterpart of the static mbvet hp-alloc
-// rules: mbvet rejects allocating constructs it can see in
-// //mb:hotpath functions at analysis time, and these tests catch what
-// static analysis cannot — escape-analysis changes, stdlib behavior,
-// interface boxing introduced through layers the analyzer does not
-// trace.
+// The gates are the one enforcement of the zero-allocation steady
+// state: they measure what the compiled code actually does, so escape-
+// analysis changes, stdlib behavior, and interface boxing introduced
+// through any number of layers all show up. CI runs them under GOGC=1.
 package alloctest
 
 import (

@@ -1,26 +1,15 @@
 // Package analysis implements mbvet, the project's static-analysis
 // suite. The simulator's correctness rests on invariants the compiler
-// cannot see — byte-identical checkpoints and shard merges, a
-// nil-check-only observability hot path, allocation-free batched
-// reference loops — and this package rejects code that would erode them
-// at analysis time, the way ATOM-style binary rewriters validate
-// instrumentation before it runs.
+// cannot see — byte-identical checkpoints, shard merges and report
+// tables, and error chains that errors.Is can still classify — and this
+// package rejects code that would erode them at analysis time.
 //
 // Everything here is built on the standard library's go/parser, go/ast,
 // and go/types packages only (no x/tools), matching the repo's
-// stdlib-only rule. Four per-package rule families ship: determinism
-// (det-*), hot-path discipline (hp-*, including the hp-alloc-* rules
-// that hold //mb:hotpath functions to the zero-allocation steady-state
-// contract), concurrency hygiene (conc-*), and error conventions
-// (err-*), plus mb-directive for malformed //mb: comments. On top of
-// them sit the whole-program analyses (callgraph.go, program.go): a
-// call-graph builder on pure go/types, transitive hot-path propagation
-// from //mb:hotpath roots (terminated by //mb:coldpath boundaries,
-// with hp-call-opaque guarding calls the graph cannot follow and
-// hp-reach reporting the inferred set), and the schema-drift sentinel
-// (schema.go) that fingerprints every type reachable from the
-// serialization codecs against a committed schema.lock. See the Rules
-// table for the catalog.
+// stdlib-only rule. The suite keeps only rules with a record of catching
+// real bugs: determinism (det-*), error conventions (err-*), and
+// mb-directive for malformed //mb: comments. See the Rules table for the
+// catalog.
 package analysis
 
 import (
@@ -60,26 +49,12 @@ type Rule struct {
 
 // Rules is the catalog of every rule mbvet enforces, sorted by ID.
 var Rules = []Rule{
-	{"conc-align", "64-bit field used with sync/atomic must be 8-byte aligned under 32-bit struct layout"},
-	{"conc-mixed", "a struct field operated on by sync/atomic must not also be written with plain assignments"},
 	{"det-maprange", "map iteration feeding a slice, builder, writer, or channel is nondeterministic unless sorted"},
 	{"det-rand", "global math/rand source in a simulation package breaks run-to-run determinism"},
 	{"det-time", "wall-clock read in a simulation package breaks run-to-run determinism"},
 	{"err-cmp", "sentinel error compared with == or !=; errors.Is also matches wrapped errors"},
 	{"err-wrap", "error formatted with %v/%s/%q loses the chain; wrap with %w"},
-	{"hp-alloc-lit", "slice or map literal allocates on a //mb:hotpath function"},
-	{"hp-alloc-make", "make allocates on a //mb:hotpath function; lease a hotbuf buffer or take a caller-provided one"},
-	{"hp-alloc-new", "new or &composite-literal allocates on a //mb:hotpath function"},
-	{"hp-alloc-string", "string concatenation or string/byte-slice conversion allocates on a //mb:hotpath function"},
-	{"hp-append", "append to a non-preallocated local slice allocates on a //mb:hotpath function"},
-	{"hp-call-opaque", "hot-path function calls through a func value or unimplemented interface; propagation cannot follow it"},
-	{"hp-closure", "closure literal allocates on a //mb:hotpath function"},
-	{"hp-defer", "defer has per-call overhead on a //mb:hotpath function"},
-	{"hp-fmt", "fmt/log call formats and allocates on a //mb:hotpath function"},
-	{"hp-iface", "interface conversion or assertion allocates/branches on a //mb:hotpath function"},
-	{"hp-reach", "informational report of the inferred hot set (mbvet -reach)"},
 	{"mb-directive", "malformed //mb: directive"},
-	{"schema-drift", "serialized type changed while the codec's version constants are unchanged (schema.lock)"},
 }
 
 // KnownRule reports whether id names a rule in the catalog.
@@ -92,36 +67,36 @@ func KnownRule(id string) bool {
 	return false
 }
 
-// simPackageSuffixes lists the module-relative package paths whose code
-// must be reproducible reference-for-reference: the simulation core that
-// the paper's perturbation measurements depend on. The determinism rules
-// apply only inside these (the observability layer, for example, may
-// legitimately read the wall clock for progress lines).
-var simPackageSuffixes = []string{
-	"internal/cache",
-	"internal/machine",
-	"internal/pmu",
-	"internal/mem",
-	"internal/truth",
-	"internal/shard",
-	"internal/interval",
-	"internal/core",
-	"internal/checkpoint",
+// wallClockPackages lists the module-relative package paths (and their
+// subpackages) that may legitimately read the wall clock: progress
+// lines and trace timestamps (obs, obsio), entry mtimes for eviction
+// (store), the analyzer itself, and the command-line drivers. Every
+// other package feeds the byte-identical checkpoints and tables and is
+// held to the determinism rules, so a new simulation package is covered
+// without being listed.
+var wallClockPackages = []string{
+	"internal/obs",
+	"internal/obsio",
+	"internal/store",
+	"internal/analysis",
+	"cmd",
 }
 
-// IsSimPackage reports whether the import path is held to the
-// determinism rules. Fixture packages under the analysis testdata tree
-// are always included so the rules can be exercised by tests and CI.
-func IsSimPackage(importPath string) bool {
+// IsSimPackage reports whether the package at importPath inside module
+// is held to the determinism rules. Fixture packages under the analysis
+// testdata tree are always included so the rules can be exercised by
+// tests and CI.
+func IsSimPackage(module, importPath string) bool {
 	if strings.Contains(importPath, "internal/analysis/testdata/") {
 		return true
 	}
-	for _, suf := range simPackageSuffixes {
-		if importPath == suf || strings.HasSuffix(importPath, "/"+suf) {
-			return true
+	rel := strings.TrimPrefix(strings.TrimPrefix(importPath, module), "/")
+	for _, p := range wallClockPackages {
+		if rel == p || strings.HasPrefix(rel, p+"/") {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // Pass is one package's unit of analysis: its syntax, type information,
@@ -132,8 +107,9 @@ type Pass struct {
 	Pkg   *types.Package
 	Info  *types.Info
 
-	// ImportPath is the package's module-relative import path; the
-	// determinism rules consult it via IsSimPackage.
+	// Module and ImportPath locate the package; the determinism rules
+	// consult them via IsSimPackage.
+	Module     string
 	ImportPath string
 
 	findings []Finding
@@ -162,28 +138,35 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
-		HotPathAnalyzer,
-		HotAllocAnalyzer,
-		ConcurrencyAnalyzer,
 		ErrConvAnalyzer,
 		DirectiveAnalyzer,
 	}
 }
 
 // Analyze runs the whole suite over one loaded package and returns the
-// findings that survive //mb:ignore suppression, sorted by position.
+// findings that survive //mb:ignore suppression.
 func Analyze(pkg *Package) []Finding {
 	pass := &Pass{
 		Fset:       pkg.Fset,
 		Files:      pkg.Files,
 		Pkg:        pkg.Types,
 		Info:       pkg.Info,
+		Module:     pkg.Module,
 		ImportPath: pkg.ImportPath,
 	}
 	for _, a := range Analyzers() {
 		a.Run(pass)
 	}
-	findings := applyIgnores(pass)
+	return applyIgnores(pass)
+}
+
+// AnalyzeAll runs the suite over every loaded package and returns all
+// surviving findings sorted by file, line, column, and rule.
+func AnalyzeAll(pkgs []*Package) []Finding {
+	var findings []Finding
+	for _, pkg := range pkgs {
+		findings = append(findings, Analyze(pkg)...)
+	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.File != b.File {
@@ -195,7 +178,10 @@ func Analyze(pkg *Package) []Finding {
 		if a.Col != b.Col {
 			return a.Col < b.Col
 		}
-		return a.Rule < b.Rule
+		if a.Rule != b.Rule {
+			return a.Rule < b.Rule
+		}
+		return a.Message < b.Message
 	})
 	return findings
 }
@@ -230,11 +216,6 @@ func (p *Pass) isBuiltin(call *ast.CallExpr, name string) bool {
 
 var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
-// isErrorType reports whether t satisfies the error interface.
-func isErrorType(t types.Type) bool {
-	return t != nil && types.Implements(t, errorType)
-}
-
 // exprErrorType reports whether the expression's static type satisfies
 // the error interface.
 func (p *Pass) exprErrorType(e ast.Expr) bool {
@@ -243,6 +224,12 @@ func (p *Pass) exprErrorType(e ast.Expr) bool {
 		return false
 	}
 	return types.Implements(tv.Type, errorType)
+}
+
+// exprIsNil reports whether the expression is the untyped nil.
+func (p *Pass) exprIsNil(e ast.Expr) bool {
+	tv, ok := p.Info.Types[e]
+	return ok && tv.IsNil()
 }
 
 // rootIdent returns the leftmost identifier of an expression such as

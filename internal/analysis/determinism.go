@@ -6,8 +6,9 @@ import (
 )
 
 // DeterminismAnalyzer enforces the simulator's reproducibility contract
-// inside the simulation packages (IsSimPackage): identical inputs must
-// produce byte-identical checkpoints, shard merges, and report tables.
+// in every package outside the wall-clock list (IsSimPackage): identical
+// inputs must produce byte-identical checkpoints, shard merges, and
+// report tables.
 //
 //   - det-time: time.Now / time.Since / time.Until read the wall clock,
 //     which differs run to run. Simulation code must consume virtual
@@ -24,7 +25,7 @@ import (
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Run: func(p *Pass) {
-		if !IsSimPackage(p.ImportPath) {
+		if !IsSimPackage(p.Module, p.ImportPath) {
 			return
 		}
 		for _, f := range p.Files {

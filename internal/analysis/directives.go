@@ -89,94 +89,17 @@ func cutDirective(text, verb string) (string, bool) {
 	return rest, true
 }
 
-// isHotPathMarked reports whether the function declaration carries a
-// //mb:hotpath marker in its doc comment.
-func isHotPathMarked(fn *ast.FuncDecl) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if _, ok := cutDirective(c.Text, "mb:hotpath"); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// isColdPathMarked reports whether the function declaration carries a
-// //mb:coldpath marker in its doc comment. A cold function is a
-// deliberate slow-path boundary: hot-path propagation does not enter it,
-// so the hp-* rules do not apply inside, and calls to it from hot code
-// are sanctioned.
-func isColdPathMarked(fn *ast.FuncDecl) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if _, ok, _ := ParseColdPathDirective(c.Text); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// ParseColdPathDirective parses one comment's text as a coldpath
-// directive. The expected form is
-//
-//	//mb:coldpath reason text
-//
-// ok is false when the comment is not an mb:coldpath directive at all;
-// err is non-nil when it is one but carries no reason. A coldpath
-// boundary exempts an entire function body from the hot-path rules, so
-// the justification is mandatory, exactly as for //mb:ignore.
-func ParseColdPathDirective(text string) (reason string, ok bool, err error) {
-	body, isDirective := cutDirective(text, "mb:coldpath")
-	if !isDirective {
-		return "", false, nil
-	}
-	reason = strings.TrimSpace(body)
-	if reason == "" {
-		return "", true, fmt.Errorf("mb:coldpath is missing a reason")
-	}
-	return reason, true, nil
-}
-
-// knownVerbs lists every directive verb the suite understands. Any other
-// //mb:<verb> comment is a typo that silently does nothing — exactly the
-// failure mode mb-directive exists to make loud.
-var knownVerbs = []string{"mb:ignore", "mb:hotpath", "mb:coldpath"}
-
 // DirectiveAnalyzer reports malformed //mb: directives: mb:ignore
-// comments that fail to parse or name unknown rules, mb:coldpath
-// comments without a reason or outside a function doc comment, unknown
-// directive verbs, and functions marked both hot and cold. Broken
-// suppressions must be loud — a typo in an ignore comment silently
-// un-suppresses nothing and suppresses nothing.
+// comments that fail to parse or name unknown rules, and any other
+// //mb:<verb> comment. Broken suppressions must be loud — a typo in an
+// ignore comment silently un-suppresses nothing and suppresses nothing.
 var DirectiveAnalyzer = &Analyzer{
 	Name: "directive",
 	Run: func(p *Pass) {
-		// Comments that live in a function's doc comment — the only
-		// place mb:hotpath and mb:coldpath take effect.
-		inFuncDoc := map[*ast.Comment]bool{}
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Doc == nil {
-					continue
-				}
-				for _, c := range fn.Doc.List {
-					inFuncDoc[c] = true
-				}
-				if isHotPathMarked(fn) && isColdPathMarked(fn) {
-					p.Reportf(fn.Pos(), "mb-directive", "keep exactly one of the two markers",
-						"function %s is marked both //mb:hotpath and //mb:coldpath", fn.Name.Name)
-				}
-			}
-		}
 		for _, f := range p.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					p.checkDirectiveComment(c, inFuncDoc[c])
+					p.checkDirectiveComment(c)
 				}
 			}
 		}
@@ -185,7 +108,7 @@ var DirectiveAnalyzer = &Analyzer{
 
 // checkDirectiveComment validates one comment against the directive
 // grammar.
-func (p *Pass) checkDirectiveComment(c *ast.Comment, inFuncDoc bool) {
+func (p *Pass) checkDirectiveComment(c *ast.Comment) {
 	if d, ok, err := ParseIgnoreDirective(c.Text); ok {
 		if err != nil {
 			p.Reportf(c.Pos(), "mb-directive", "write //mb:ignore RULE reason", "%v", err)
@@ -198,28 +121,10 @@ func (p *Pass) checkDirectiveComment(c *ast.Comment, inFuncDoc bool) {
 		}
 		return
 	}
-	if _, ok, err := ParseColdPathDirective(c.Text); ok {
-		if err != nil {
-			p.Reportf(c.Pos(), "mb-directive", "write //mb:coldpath reason", "%v", err)
-			return
-		}
-		if !inFuncDoc {
-			p.Reportf(c.Pos(), "mb-directive", "move the directive into the function's doc comment",
-				"mb:coldpath outside a function doc comment has no effect")
-		}
-		return
-	}
-	if _, ok := cutDirective(c.Text, "mb:hotpath"); ok {
-		if !inFuncDoc {
-			p.Reportf(c.Pos(), "mb-directive", "move the directive into the function's doc comment",
-				"mb:hotpath outside a function doc comment has no effect")
-		}
-		return
-	}
-	// Any other machine-style //mb:<verb> comment is a typo: it parses
-	// as no known directive and silently does nothing.
+	// Any other machine-style //mb:<verb> comment is a typo or a retired
+	// verb: it parses as no known directive and silently does nothing.
 	if verb, ok := unknownVerb(c.Text); ok {
-		p.Reportf(c.Pos(), "mb-directive", "use one of mb:ignore, mb:hotpath, mb:coldpath",
+		p.Reportf(c.Pos(), "mb-directive", "mb:ignore is the only directive",
 			"unknown directive //mb:%s", verb)
 	}
 }
@@ -245,10 +150,8 @@ func unknownVerb(text string) (string, bool) {
 	if verb == "" {
 		return "", false
 	}
-	for _, known := range knownVerbs {
-		if "mb:"+verb == known {
-			return "", false
-		}
+	if verb == "ignore" {
+		return "", false
 	}
 	return verb, true
 }
@@ -259,13 +162,11 @@ type ignoreKey struct {
 	line int
 }
 
-// ignoreIndex maps source lines to their well-formed ignore directives.
-type ignoreIndex map[ignoreKey][]IgnoreDirective
-
-// collectIgnores indexes every well-formed //mb:ignore directive in the
-// package's files.
-func (p *Pass) collectIgnores() ignoreIndex {
-	ignores := ignoreIndex{}
+// applyIgnores drops the pass's findings suppressed by a well-formed
+// //mb:ignore directive naming their rule on the same line or the line
+// immediately above. mb-directive findings are never suppressible.
+func applyIgnores(p *Pass) []Finding {
+	ignores := map[ignoreKey][]IgnoreDirective{}
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -279,35 +180,15 @@ func (p *Pass) collectIgnores() ignoreIndex {
 			}
 		}
 	}
-	return ignores
-}
-
-// merge folds another index into this one.
-func (ix ignoreIndex) merge(other ignoreIndex) {
-	for k, ds := range other {
-		ix[k] = append(ix[k], ds...)
-	}
-}
-
-// filter drops findings suppressed by a directive naming their rule on
-// the same line or the line immediately above. mb-directive findings are
-// never suppressible.
-func (ix ignoreIndex) filter(findings []Finding) []Finding {
 	var out []Finding
-	for _, fd := range findings {
-		if fd.Rule != "mb-directive" && suppressed(ix[ignoreKey{fd.File, fd.Line}], fd.Rule) ||
-			fd.Rule != "mb-directive" && suppressed(ix[ignoreKey{fd.File, fd.Line - 1}], fd.Rule) {
+	for _, fd := range p.findings {
+		if fd.Rule != "mb-directive" && (suppressed(ignores[ignoreKey{fd.File, fd.Line}], fd.Rule) ||
+			suppressed(ignores[ignoreKey{fd.File, fd.Line - 1}], fd.Rule)) {
 			continue
 		}
 		out = append(out, fd)
 	}
 	return out
-}
-
-// applyIgnores filters the pass's findings through the //mb:ignore
-// directives in its files.
-func applyIgnores(p *Pass) []Finding {
-	return p.collectIgnores().filter(p.findings)
 }
 
 func suppressed(ds []IgnoreDirective, rule string) bool {

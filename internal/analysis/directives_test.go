@@ -13,6 +13,9 @@ func TestParseIgnoreDirective(t *testing.T) {
 		wantErr string
 		rules   []string
 		reason  string
+		// unknown is the verb mb-directive reports for a comment that
+		// is machine-style //mb:<verb> but not an mb:ignore directive.
+		unknown string
 	}{
 		{
 			name:   "single rule",
@@ -37,15 +40,17 @@ func TestParseIgnoreDirective(t *testing.T) {
 		},
 		{
 			name:   "tabs between fields",
-			text:   "//mb:ignore\thp-defer\tteardown path, not hot",
+			text:   "//mb:ignore\terr-wrap\tmessage is for humans only",
 			ok:     true,
-			rules:  []string{"hp-defer"},
-			reason: "teardown path, not hot",
+			rules:  []string{"err-wrap"},
+			reason: "message is for humans only",
 		},
 		{name: "ordinary comment", text: "// mb:ignore is documented in the README", ok: false},
 		{name: "spaced marker is not a directive", text: "// mb:ignore det-time x", ok: false},
-		{name: "different verb", text: "//mb:hotpath reason", ok: false},
-		{name: "verb prefix of longer word", text: "//mb:ignored det-time x", ok: false},
+		{name: "different verb", text: "//mb:hotpath reason", ok: false, unknown: "hotpath"},
+		{name: "retired hotpath verb is unknown", text: "//mb:hotpath", ok: false, unknown: "hotpath"},
+		{name: "retired coldpath verb is unknown", text: "//mb:coldpath once per batch", ok: false, unknown: "coldpath"},
+		{name: "verb prefix of longer word", text: "//mb:ignored det-time x", ok: false, unknown: "ignored"},
 		{name: "no rule no reason", text: "//mb:ignore", ok: true, wantErr: "needs a rule ID"},
 		{name: "rule without reason", text: "//mb:ignore det-time", ok: true, wantErr: "missing a reason"},
 		{name: "empty rule in list", text: "//mb:ignore det-time,, double comma", ok: true, wantErr: "empty rule"},
@@ -58,6 +63,9 @@ func TestParseIgnoreDirective(t *testing.T) {
 			d, ok, err := ParseIgnoreDirective(tc.text)
 			if ok != tc.ok {
 				t.Fatalf("ok = %v, want %v", ok, tc.ok)
+			}
+			if verb, _ := unknownVerb(tc.text); verb != tc.unknown {
+				t.Fatalf("unknown verb = %q, want %q", verb, tc.unknown)
 			}
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {

@@ -8,8 +8,9 @@ import (
 // FuzzIgnoreDirectiveParse throws arbitrary comment text at the
 // //mb:ignore parser. Invariants: never panic; the three-way result is
 // coherent (a non-directive has no error; a parsed directive has
-// non-empty rules and reason); and a successfully parsed directive
-// round-trips through String().
+// non-empty rules and reason); no comment is both an mb:ignore directive
+// and an unknown verb for mb-directive; and a successfully parsed
+// directive round-trips through String().
 func FuzzIgnoreDirectiveParse(f *testing.F) {
 	seeds := []string{
 		"//mb:ignore det-time progress line is wall-clock by design",
@@ -35,32 +36,24 @@ func FuzzIgnoreDirectiveParse(f *testing.F) {
 		"//mb:ignore det-time,det-time duplicate rule",
 		strings.Repeat("//mb:ignore a ", 50),
 		"//mb:ignore " + strings.Repeat("a,", 300) + "a deep list",
-		"//mb:coldpath flush path runs once per batch",
-		"//mb:coldpath",
-		"//mb:coldpath ",
-		"/*mb:coldpath interrupt delivery*/",
-		"//mb:coldpathx longer verb",
-		"// mb:coldpath spaced marker",
-		"//mb:coldpath\ttab before reason",
-		"//mb:hotpath fixture root",
+		"//mb:ignore hp-defer retired rule name",
+		"//mb:ignore schema-drift retired rule name",
+		"//mb:ignore conc-align,det-time retired and kept rules",
+		"/*mb:ignore det-time*/",
+		"//mb:ignore det-time reason */ with a block terminator",
+		"//mb:ignore -- dash-only rule",
+		"//mb:ignore 0 digit-only rule",
+		"//mb:ignore\u00a0det-time nbsp after the verb",
 		"//mb:frobnicate unknown verb",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
-		// The coldpath parser shares the ignore parser's invariants:
-		// never panic, non-directives carry no error, and a parsed
-		// directive has a non-empty reason.
-		if reason, ok, err := ParseColdPathDirective(text); ok {
-			if err == nil && reason == "" {
-				t.Fatalf("parsed coldpath directive from %q has empty reason", text)
-			}
-		} else if err != nil {
-			t.Fatalf("non-coldpath %q returned error %v", text, err)
-		}
-
 		d, ok, err := ParseIgnoreDirective(text)
+		if verb, unknown := unknownVerb(text); unknown && ok {
+			t.Fatalf("%q is both an mb:ignore directive and unknown verb %q", text, verb)
+		}
 		if !ok {
 			if err != nil {
 				t.Fatalf("non-directive %q returned error %v", text, err)

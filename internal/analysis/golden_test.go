@@ -43,11 +43,9 @@ func TestGoldenFindings(t *testing.T) {
 	}
 }
 
-// renderFindings loads one fixture directory, runs the full analysis
-// (per-package rules plus the whole-program layer), and renders the
-// findings with paths relative to the fixture dir, so golden files are
-// stable across checkouts. The brokenreach fixture runs with the reach
-// report and full provenance chains on, pinning the -reach/-why output.
+// renderFindings loads one fixture directory, runs the full analysis,
+// and renders the findings with paths relative to the fixture dir, so
+// golden files are stable across checkouts.
 func renderFindings(t *testing.T, dir string) string {
 	t.Helper()
 	abs, err := filepath.Abs(dir)
@@ -62,17 +60,8 @@ func renderFindings(t *testing.T, dir string) string {
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
-	cfg := &ProgramConfig{}
-	if filepath.Base(dir) == "brokenreach" {
-		cfg.Reach = true
-		cfg.Why = true
-	}
-	findings, err := AnalyzeAll(pkgs, cfg)
-	if err != nil {
-		t.Fatalf("analyzing %s: %v", dir, err)
-	}
 	var b strings.Builder
-	for _, f := range findings {
+	for _, f := range AnalyzeAll(pkgs) {
 		if rel, err := filepath.Rel(abs, f.File); err == nil {
 			f.File = filepath.ToSlash(rel)
 		}

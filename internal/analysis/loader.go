@@ -18,8 +18,7 @@ type Package struct {
 	ImportPath string
 	Dir        string
 	// Module is the path of the module the package belongs to; the
-	// schema sentinel uses it to restrict fingerprinting to module-local
-	// types.
+	// determinism rules read the module-relative path from it.
 	Module string
 	Fset   *token.FileSet
 	Files  []*ast.File
@@ -96,9 +95,11 @@ func modulePath(gomod string) (string, error) {
 
 // Load resolves the patterns (directory paths, optionally ending in
 // /..., in the go tool's style) and returns the matched packages sorted
-// by import path. Directories named testdata are skipped by /...
-// expansion but may be named explicitly, which is how the fixture
-// packages are analyzed.
+// by import path. Directories named testdata, and directories below the
+// walk root that hold their own go.mod (a nested module, which the go
+// tool's ./... skips too), are skipped by /... expansion; testdata
+// packages may be named explicitly, which is how the fixture packages
+// are analyzed.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	var dirs []string
 	seen := map[string]bool{}
@@ -126,7 +127,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 					return nil
 				}
 				name := d.Name()
-				if path != absBase && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				if path != absBase && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || isFile(filepath.Join(path, "go.mod"))) {
 					return filepath.SkipDir
 				}
 				if hasGoFiles(path) {
@@ -159,6 +160,12 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ImportPath < out[j].ImportPath })
 	return out, nil
+}
+
+// isFile reports whether path names an existing regular file.
+func isFile(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.Mode().IsRegular()
 }
 
 // hasGoFiles reports whether dir contains at least one non-test Go file.

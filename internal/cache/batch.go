@@ -18,8 +18,6 @@ import "membottle/internal/mem"
 // be delivered first, exactly as in scalar execution. A batched run and a
 // scalar run of the same reference stream leave the cache in
 // bit-identical state: same tags, same LRU stamps, same statistics.
-//
-//mb:hotpath the batched engine's inner loop; mbvet forbids allocation here
 func (c *Cache) AccessBatch(refs []mem.Ref) (int, uint64, bool) {
 	var (
 		hits    uint64

@@ -117,8 +117,6 @@ func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 // Access simulates one reference to address a and reports whether it
 // missed. Write misses allocate (write-allocate policy); write-back traffic
 // is not modelled, as in the paper's single-level simulator.
-//
-//mb:hotpath scalar per-reference path; mbvet forbids allocation here
 func (c *Cache) Access(a mem.Addr, write bool) (miss bool) {
 	if write {
 		c.Stats.Writes++

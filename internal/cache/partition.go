@@ -62,8 +62,6 @@ func (p *Partition) Sets() int { return len(p.ways) / p.assoc }
 // Access simulates one reference already routed to this partition and
 // reports whether it missed, mirroring Cache.Access (same LRU update,
 // same victim tie-break, same statistics).
-//
-//mb:hotpath per-reference shard replay; mbvet forbids allocation here
 func (p *Partition) Access(a mem.Addr, write bool) (miss bool) {
 	if write {
 		p.Stats.Writes++
@@ -141,8 +139,6 @@ func (p *Partition) SetState(s State) error {
 // at the first miss — shard replay has no interrupts to deliver — so the
 // whole chunk runs through one branch-light loop; the 4-way layout gets
 // the same unrolled probe as the batched hot path.
-//
-//mb:hotpath shard worker inner loop; missIdx is caller-preallocated
 func (p *Partition) Sweep(packed []uint64, missIdx []uint32) []uint32 {
 	var hits, writes uint64
 	clock := p.clock
@@ -234,8 +230,6 @@ func (p *Partition) Sweep(packed []uint64, missIdx []uint32) []uint32 {
 // Statistics: Hits and Misses count references exactly; the read/write
 // split is not represented in run form, so every reference is tallied
 // under Reads — run-compacted callers track the true split themselves.
-//
-//mb:hotpath representative-interval inner loop; missIdx is caller-preallocated
 func (p *Partition) SweepRuns(entries []uint64, missIdx []uint32) []uint32 {
 	var hits, misses, refs uint64
 	clock := p.clock

@@ -119,12 +119,7 @@ func encodeTruthRecord(t *truth.Counter, ov membottle.Overhead) ([]byte, error) 
 		e.Str(r.Object.Name)
 		e.I64(int64(r.Object.Kind))
 	}
-
-	e.U64(ov.Interrupts)
-	e.U64(ov.HandlerCycles)
-	e.U64(ov.TotalCycles)
-	e.U64(ov.TotalMisses)
-	e.U64(ov.AppInstructions)
+	encOverhead(&e, ov)
 	return e.Take(), nil
 }
 
@@ -152,12 +147,7 @@ func decodeTruthRecord(payload []byte) (*truth.Counter, membottle.Overhead, erro
 		}
 	}
 
-	var ov membottle.Overhead
-	ov.Interrupts = d.U64()
-	ov.HandlerCycles = d.U64()
-	ov.TotalCycles = d.U64()
-	ov.TotalMisses = d.U64()
-	ov.AppInstructions = d.U64()
+	ov := decOverhead(d)
 	if err := d.Err(); err != nil {
 		return nil, membottle.Overhead{}, fmt.Errorf("experiments: truth record: %w", err)
 	}

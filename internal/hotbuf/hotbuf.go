@@ -18,7 +18,7 @@
 // buffer with live cache lines is reused first) and allocates only when
 // the free list is empty — once per nesting depth ever reached, after
 // which the steady state allocates nothing. The allocation-gate tests
-// and the mbvet hp-alloc rules hold the callers to that contract.
+// hold the callers to that contract.
 //
 // A Pool is not safe for concurrent use; each goroutine that needs one
 // owns one (the same single-writer discipline the machine itself has).
@@ -61,8 +61,6 @@ func NewPool[T any](bufCap, warm int) *Pool[T] {
 // the reuse). Leasing reuses the most recently returned buffer and
 // allocates only when the free list is empty — at most once per
 // nesting depth the caller ever reaches.
-//
-//mb:hotpath lease is a slice pop in the steady state; the make below is first-use only
 func (p *Pool[T]) Lease() []T {
 	if n := len(p.free); n > 0 {
 		b := p.free[n-1]
@@ -72,7 +70,6 @@ func (p *Pool[T]) Lease() []T {
 		return b[:0]
 	}
 	p.leased++
-	//mb:ignore hp-alloc-make cold path: one allocation per nesting depth ever reached, then reused forever
 	return make([]T, 0, p.bufCap)
 }
 
@@ -82,8 +79,6 @@ func (p *Pool[T]) Lease() []T {
 // so the pool adapts to the caller's high-water mark — but a buffer
 // whose capacity fell below BufCap (or nil) is dropped rather than
 // recycled, preserving the Lease capacity guarantee.
-//
-//mb:hotpath return is a slice push; the free-list append below grows at most to peak nesting depth
 func (p *Pool[T]) Return(buf []T) {
 	if p.leased > 0 {
 		p.leased--

@@ -230,8 +230,6 @@ func (t *traceStore) room() {
 // grow expands the current block geometrically below blockEntries and
 // rotates it into full once it reaches exactly blockEntries (keeping
 // forSpan's uniform block indexing).
-//
-//mb:coldpath amortized block rotation: runs once per block fill, not per entry
 func (t *traceStore) grow() {
 	switch {
 	case cap(t.cur) == 0:
@@ -527,8 +525,6 @@ func (w *repWorker) measureRep(st *traceStore, spans []Span, rep int, warmup War
 // missIdx) to objects. Only a run's first reference can miss, and a run
 // entry carries exactly that reference's address, so attribution here
 // matches the full engine's per-miss attribution.
-//
-//mb:hotpath per-miss attribution in representative measurement; missIdx and counts are caller-preallocated
 func (w *repWorker) attribute(chunk []uint64, out *repMeasure) {
 	for _, idx := range w.missIdx {
 		a, _ := mem.UnpackRun(chunk[idx])

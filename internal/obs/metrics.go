@@ -30,13 +30,9 @@ type Counter struct {
 }
 
 // Inc adds one.
-//
-//mb:hotpath obs record path: one atomic add
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
-//
-//mb:hotpath obs record path: one atomic add
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
@@ -48,8 +44,6 @@ type Gauge struct {
 }
 
 // Set stores v.
-//
-//mb:hotpath obs record path: one atomic store
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the last stored value.
@@ -67,8 +61,6 @@ type Histogram struct {
 }
 
 // Observe records one value.
-//
-//mb:hotpath obs record path: bounds scan plus atomic adds
 func (h *Histogram) Observe(v uint64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {

@@ -12,8 +12,7 @@ import (
 // TestAllocGate pins the shard worker's steady-state replay at zero
 // allocations per chunk: the partition sweep into the reused missIdx
 // buffer plus per-miss attribution against the preallocated counts
-// table. (Bucket mode is excluded: its miss log is the run's
-// accumulated output, grown amortized, not a per-chunk cost.)
+// table.
 func TestAllocGate(t *testing.T) {
 	cfg := cache.DefaultConfig()
 	space := mem.NewSpace()
@@ -33,7 +32,7 @@ func TestAllocGate(t *testing.T) {
 		counts:  make([]uint64, len(om.Objects())),
 		missIdx: make([]uint32, 0, chunkRefs),
 	}
-	c := newChunk(false)
+	c := newChunk()
 	for i := 0; i < chunkRefs; i++ {
 		a := base + mem.Addr(uint64(i)*3*uint64(cfg.LineSize)%fieldSize)
 		c.packed = append(c.packed, mem.PackRef(a, i%4 == 0))

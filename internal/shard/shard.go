@@ -19,7 +19,7 @@
 // Capture runs on the caller's goroutine while W shard workers replay
 // their partitions concurrently, each against a private cache.Partition
 // and a private objmap.Resolver. Merging the per-shard tallies yields a
-// truth.Counter whose Ranked, Pct, Series and merged cache.Stats equal
+// truth.Counter whose Ranked, Pct and merged cache.Stats equal
 // the sequential engine's byte for byte, for any worker count including
 // one — the differential tests enforce this.
 package shard
@@ -59,10 +59,6 @@ type Config struct {
 	// power of two (the shard count) clamped to the cache's set count.
 	// Zero or negative selects GOMAXPROCS.
 	Workers int
-	// BucketCycles, if non-zero, additionally reconstructs the per-object
-	// miss time series in buckets of that many virtual cycles (Figure 5),
-	// identical to a sequential truth.Counter with the same BucketCycles.
-	BucketCycles uint64
 	// Obs, if non-nil, receives the same end-of-run totals a sequential
 	// System.FlushObs would record, plus the shard.* instruments.
 	Obs *obs.Obs
@@ -100,43 +96,17 @@ const chunkRefs = 32 << 10
 // engine streams arbitrarily long runs in constant space.
 const chunksPerShard = 4
 
-// chunk is one slice of one shard's packed reference subsequence. The
-// gidx/base arrays exist only in bucket (time-series) mode: the global
-// reference index orders misses across shards, and the base cycle count
-// (capture clock after the reference's hit charge) rebuilds the
-// sequential miss-time arithmetic.
+// chunk is one slice of one shard's packed reference subsequence.
 type chunk struct {
 	packed []uint64
-	gidx   []uint64
-	base   []uint64
 }
 
-func newChunk(bucket bool) *chunk {
-	c := &chunk{packed: make([]uint64, 0, chunkRefs)}
-	if bucket {
-		c.gidx = make([]uint64, 0, chunkRefs)
-		c.base = make([]uint64, 0, chunkRefs)
-	}
-	return c
+func newChunk() *chunk {
+	return &chunk{packed: make([]uint64, 0, chunkRefs)}
 }
 
 func (c *chunk) reset() {
 	c.packed = c.packed[:0]
-	if c.gidx != nil {
-		c.gidx = c.gidx[:0]
-		c.base = c.base[:0]
-	}
-}
-
-// missRec is one attributed miss in bucket mode: its global reference
-// index, its base cycle count, and the object it resolved to (-1 for
-// unmatched — unmatched misses consume a miss ordinal, and therefore
-// delay later misses by MissCycles, but are not bucketed, mirroring the
-// sequential OnMiss hook).
-type missRec struct {
-	gidx uint64
-	base uint64
-	obj  int32
 }
 
 // sink receives the captured reference stream on the capture goroutine
@@ -146,14 +116,11 @@ type missRec struct {
 type sink struct {
 	lineShift uint
 	shardMask uint64
-	hit, cpi  uint64
-	bucket    bool
 
 	chans []chan *chunk
 	pool  chan *chunk
 	cur   []*chunk
 
-	gidx    uint64
 	refs    uint64 // total captured references
 	started bool   // false during Setup: references are counted, not routed
 	obs     *obs.Obs
@@ -164,27 +131,6 @@ func (s *sink) ConsumeRefs(refs []machine.Ref, cyclesBefore uint64) {
 	if !s.started {
 		return
 	}
-	if s.bucket {
-		cyc := cyclesBefore
-		for i := range refs {
-			r := &refs[i]
-			cyc += s.hit
-			sh := (uint64(r.Addr) >> s.lineShift) & s.shardMask
-			c := s.cur[sh]
-			if len(c.packed) == cap(c.packed) {
-				c = s.rotate(sh)
-			}
-			//mb:ignore hp-append chunk buffers are pool-preallocated; rotate above guarantees spare capacity
-			c.packed = append(c.packed, mem.PackRef(r.Addr, r.Write))
-			//mb:ignore hp-append chunk buffers are pool-preallocated; rotate above guarantees spare capacity
-			c.gidx = append(c.gidx, s.gidx)
-			//mb:ignore hp-append chunk buffers are pool-preallocated; rotate above guarantees spare capacity
-			c.base = append(c.base, cyc)
-			s.gidx++
-			cyc += r.Compute * s.cpi
-		}
-		return
-	}
 	for i := range refs {
 		r := &refs[i]
 		sh := (uint64(r.Addr) >> s.lineShift) & s.shardMask
@@ -192,7 +138,6 @@ func (s *sink) ConsumeRefs(refs []machine.Ref, cyclesBefore uint64) {
 		if len(c.packed) == cap(c.packed) {
 			c = s.rotate(sh)
 		}
-		//mb:ignore hp-append chunk buffers are pool-preallocated; rotate above guarantees spare capacity
 		c.packed = append(c.packed, mem.PackRef(r.Addr, r.Write))
 	}
 }
@@ -234,8 +179,6 @@ type worker struct {
 	pool    chan *chunk
 	counts  []uint64
 	missIdx []uint32
-	misses  []missRec // bucket mode only
-	bucket  bool
 
 	refs      uint64
 	total     uint64
@@ -250,10 +193,9 @@ func (w *worker) run() {
 }
 
 // process replays one chunk: sweep it through the partition into the
-// reused missIdx buffer, then attribute each miss. Outside bucket mode
-// this is allocation-free in the steady state (missIdx and counts are
-// preallocated and reused); bucket mode accumulates the run's miss log
-// in w.misses with amortized growth.
+// reused missIdx buffer, then attribute each miss. This is
+// allocation-free in the steady state: missIdx and counts are
+// preallocated and reused.
 func (w *worker) process(c *chunk) {
 	w.missIdx = w.part.Sweep(c.packed, w.missIdx[:0])
 	for _, idx := range w.missIdx {
@@ -262,15 +204,9 @@ func (w *worker) process(c *chunk) {
 		obj := w.res.Lookup(a)
 		if obj == nil {
 			w.unmatched++
-			if w.bucket {
-				w.misses = append(w.misses, missRec{gidx: c.gidx[idx], base: c.base[idx], obj: -1})
-			}
 			continue
 		}
 		w.counts[obj.ID]++
-		if w.bucket {
-			w.misses = append(w.misses, missRec{gidx: c.gidx[idx], base: c.base[idx], obj: int32(obj.ID)})
-		}
 	}
 	w.refs += uint64(len(c.packed))
 }
@@ -318,9 +254,6 @@ func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*R
 	snk := &sink{
 		lineShift: lineShift(cfg.Cache.LineSize),
 		shardMask: uint64(shards - 1),
-		hit:       cfg.Costs.HitCycles,
-		cpi:       cfg.Costs.ComputeCPI,
-		bucket:    cfg.BucketCycles != 0,
 		obs:       cfg.Obs,
 	}
 	m.SetCapture(snk)
@@ -344,7 +277,7 @@ func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*R
 	poolCap := shards * chunksPerShard
 	snk.pool = make(chan *chunk, poolCap)
 	for i := 0; i < poolCap; i++ {
-		snk.pool <- newChunk(snk.bucket)
+		snk.pool <- newChunk()
 	}
 	snk.chans = make([]chan *chunk, shards)
 	snk.cur = make([]*chunk, shards)
@@ -368,7 +301,6 @@ func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*R
 			ch:     snk.chans[i],
 			pool:   snk.pool,
 			counts: make([]uint64, nobj),
-			bucket: snk.bucket,
 		}
 		wg.Add(1)
 		go func(wk *worker) {
@@ -394,7 +326,6 @@ func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*R
 	}
 
 	tc := truth.NewCounter(om)
-	tc.BucketCycles = cfg.BucketCycles
 	parts := make([]truth.Partial, shards)
 	var stats cache.Stats
 	for i, wk := range workers {
@@ -406,9 +337,6 @@ func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*R
 		stats.Misses += st.Misses
 	}
 	tc.Merge(parts...)
-	if snk.bucket {
-		mergeBuckets(tc, workers, cfg.Costs.MissCycles, cfg.BucketCycles)
-	}
 
 	res := &Result{
 		Truth:    tc,
@@ -421,36 +349,6 @@ func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*R
 	}
 	flushObs(cfg.Obs, res, workers)
 	return res, nil
-}
-
-// mergeBuckets replays the per-shard miss logs in global reference order
-// and rebuilds the sequential time series: the i-th miss overall (1-based)
-// lands at its base cycle count plus i times the miss latency, exactly
-// the clock the sequential OnMiss hook reads.
-func mergeBuckets(tc *truth.Counter, workers []*worker, missCycles, bucketCycles uint64) {
-	idx := make([]int, len(workers))
-	var ordinal uint64
-	for {
-		best := -1
-		var bg uint64
-		for i, w := range workers {
-			if idx[i] < len(w.misses) {
-				if g := w.misses[idx[i]].gidx; best < 0 || g < bg {
-					best, bg = i, g
-				}
-			}
-		}
-		if best < 0 {
-			return
-		}
-		r := workers[best].misses[idx[best]]
-		idx[best]++
-		ordinal++
-		if r.obj >= 0 {
-			cycle := r.base + missCycles*ordinal
-			tc.RecordBucketMiss(int(cycle/bucketCycles), int(r.obj))
-		}
-	}
 }
 
 // flushObs records the same end-of-run totals a sequential

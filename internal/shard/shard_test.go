@@ -94,42 +94,6 @@ func TestShardedSingleProc(t *testing.T) {
 	}
 }
 
-// TestShardedSeries checks the time-series reconstruction (Figure 5):
-// per-object bucket series must match the sequential counter's, which
-// depends on the global miss order across shards.
-func TestShardedSeries(t *testing.T) {
-	const app, budget = "mgrid", 4_000_000
-	const bucketCycles = 500_000
-
-	sys := membottle.NewSystem(membottle.DefaultConfig())
-	if err := sys.LoadWorkloadByName(app); err != nil {
-		t.Fatal(err)
-	}
-	sys.Truth.BucketCycles = bucketCycles
-	sys.Run(budget)
-
-	w, err := workload.New(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := shard.Run(nil, w, budget, shard.Config{Workers: 4, BucketCycles: bucketCycles})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := res.Truth.Buckets(), sys.Truth.Buckets(); got != want {
-		t.Fatalf("bucket count: sharded %d, sequential %d", got, want)
-	}
-	for _, r := range sys.Truth.Ranked() {
-		name := r.Object.Name
-		got := fmt.Sprint(res.Truth.Series(name))
-		want := fmt.Sprint(sys.Truth.Series(name))
-		if got != want {
-			t.Errorf("series %q: sharded %s, sequential %s", name, got, want)
-		}
-	}
-}
-
 // allocStep allocates on every step, mutating the object map mid-run.
 type allocStep struct{ blocks []mem.Addr }
 

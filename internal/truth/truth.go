@@ -202,19 +202,6 @@ func (c *Counter) Merge(parts ...Partial) {
 	}
 }
 
-// RecordBucketMiss appends one object-attributed miss to the time-series
-// buckets (Figure 5 support for the sharded engine). Callers must deliver
-// misses in global reference order with the bucket index the sequential
-// engine would have computed (virtual cycles at the miss divided by
-// BucketCycles); unmatched misses are not bucketed, mirroring the OnMiss
-// hook.
-func (c *Counter) RecordBucketMiss(bucket int, objID int) {
-	for len(c.buckets) <= bucket {
-		c.buckets = append(c.buckets, make(map[int]uint64))
-	}
-	c.buckets[bucket][objID]++
-}
-
 // --- checkpoint state ----------------------------------------------------
 
 // State is the counter's serializable snapshot. Time-series bucket
