@@ -136,7 +136,7 @@ func (p *Partition) SetState(s State) error {
 // Sweep simulates every packed reference (mem.PackRef form, all already
 // routed to this partition) and appends the index of each miss to missIdx,
 // returning the extended slice. Unlike Cache.AccessBatch it does not stop
-// at the first miss — shard replay has no interrupts to deliver — so the
+// at the first miss — offline replay has no interrupts to deliver — so the
 // whole chunk runs through one branch-light loop; the 4-way layout gets
 // the same unrolled probe as the batched hot path.
 func (p *Partition) Sweep(packed []uint64, missIdx []uint32) []uint32 {

@@ -90,7 +90,7 @@ type Options struct {
 	// see IntervalErrors for the error-bound report). Ignored when the
 	// options pin runs to an exact engine (SeqTruth, Scalar, Sanitize,
 	// or fault injection), and an individual workload outside the
-	// engine's preconditions falls back to an exact run.
+	// capture preconditions falls back to the sequential engine.
 	Intervals bool
 	// IntervalRefs is the interval size in references for Intervals
 	// runs; 0 sizes intervals adaptively from the captured trace.

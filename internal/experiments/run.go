@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"membottle"
+	"membottle/internal/capture"
 	"membottle/internal/core"
 	"membottle/internal/interval"
 	"membottle/internal/shard"
@@ -81,8 +82,8 @@ func intervalEligible(opt Options) bool {
 }
 
 // runInterval executes a workload through the representative-interval
-// engine under the run options. Callers treat interval.ErrFallback as
-// "use an exact engine".
+// engine under the run options. Callers treat capture.ErrFallback as
+// "use the sequential engine".
 func runInterval(opt Options, app string, budget uint64) (*interval.Result, error) {
 	w, err := membottle.NewWorkload(app)
 	if err != nil {
@@ -99,40 +100,10 @@ func runInterval(opt Options, app string, budget uint64) (*interval.Result, erro
 }
 
 func runPlainUncached(opt Options, app string, budget uint64) (*truth.Counter, membottle.Overhead, error) {
-	if intervalEligible(opt) {
-		res, err := runInterval(opt, app, budget)
-		if err == nil {
-			ov := membottle.Overhead{
-				TotalCycles:     res.Cycles,
-				TotalMisses:     res.Stats.Misses,
-				AppInstructions: res.AppInsts,
-			}
-			return res.Truth, ov, nil
-		}
-		if !errors.Is(err, interval.ErrFallback) {
-			return nil, membottle.Overhead{}, err
-		}
-	}
 	if shardEligible(opt) {
-		w, err := membottle.NewWorkload(app)
-		if err != nil {
-			return nil, membottle.Overhead{}, err
-		}
-		res, err := shard.Run(opt.Ctx, w, budget, shard.Config{
-			Cache:   opt.Geometry,
-			Workers: opt.TruthWorkers,
-			Obs:     opt.Obs,
-		})
-		if err == nil {
-			ov := membottle.Overhead{
-				TotalCycles:     res.Cycles,
-				TotalMisses:     res.Stats.Misses,
-				AppInstructions: res.AppInsts,
-			}
-			return res.Truth, ov, nil
-		}
-		if !errors.Is(err, shard.ErrFallback) {
-			return nil, membottle.Overhead{}, err
+		tc, ov, err := runCaptured(opt, app, budget)
+		if !errors.Is(err, capture.ErrFallback) {
+			return tc, ov, err
 		}
 	}
 	sys := newSystem(opt)
@@ -143,6 +114,33 @@ func runPlainUncached(opt Options, app string, budget uint64) (*truth.Counter, m
 		return nil, membottle.Overhead{}, err
 	}
 	return sys.Truth, sys.Overhead(), nil
+}
+
+// runCaptured serves a plain run from a capture-based engine: the
+// interval engine when the options request it, else the sharded one.
+// Both check the same preconditions, so a capture.ErrFallback from
+// either means only the sequential engine can serve the run.
+func runCaptured(opt Options, app string, budget uint64) (*truth.Counter, membottle.Overhead, error) {
+	if intervalEligible(opt) {
+		res, err := runInterval(opt, app, budget)
+		if err != nil {
+			return nil, membottle.Overhead{}, err
+		}
+		return res.Truth, membottle.Overhead{TotalCycles: res.Cycles, TotalMisses: res.Stats.Misses, AppInstructions: res.AppInsts}, nil
+	}
+	w, err := membottle.NewWorkload(app)
+	if err != nil {
+		return nil, membottle.Overhead{}, err
+	}
+	res, err := shard.Run(opt.Ctx, w, budget, shard.Config{
+		Cache:   opt.Geometry,
+		Workers: opt.TruthWorkers,
+		Obs:     opt.Obs,
+	})
+	if err != nil {
+		return nil, membottle.Overhead{}, err
+	}
+	return res.Truth, membottle.Overhead{TotalCycles: res.Cycles, TotalMisses: res.Stats.Misses, AppInstructions: res.AppInsts}, nil
 }
 
 // runSampler executes a workload under the sampling profiler.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"membottle/internal/capture"
 	"membottle/internal/interval"
 	"membottle/internal/machine"
 	"membottle/internal/mem"
@@ -57,7 +58,7 @@ func TestNegativeConfigRejected(t *testing.T) {
 // references from the plan.
 func TestSetupRefsFallback(t *testing.T) {
 	_, err := interval.Run(nil, &stubWork{name: "setup-refs", setupRefs: true}, 100_000, interval.Config{})
-	if !errors.Is(err, interval.ErrFallback) {
+	if !errors.Is(err, capture.ErrFallback) {
 		t.Fatalf("got %v, want ErrFallback", err)
 	}
 }
@@ -66,7 +67,7 @@ func TestSetupRefsFallback(t *testing.T) {
 // the frozen-resolver assumption; the engine must refuse to extrapolate.
 func TestMidRunAllocFallback(t *testing.T) {
 	_, err := interval.Run(nil, &stubWork{name: "mid-alloc", allocAt: 3}, 1_000_000, interval.Config{})
-	if !errors.Is(err, interval.ErrFallback) {
+	if !errors.Is(err, capture.ErrFallback) {
 		t.Fatalf("got %v, want ErrFallback", err)
 	}
 }

@@ -24,7 +24,7 @@ func FuzzIntervalPartition(f *testing.F) {
 		chunkLen = 1 + chunkLen%4096
 		rng := seed | 1
 
-		snk := &captureSink{started: true}
+		snk := &captureSink{}
 		var buf []uint64
 		var refs uint64
 		emit := func() {
@@ -92,7 +92,7 @@ func FuzzIntervalPartition(f *testing.F) {
 // target the returned boundary is the first run boundary at or past the
 // target, and the returned cumulative count re-walks to the same value.
 func TestCutTargets(t *testing.T) {
-	snk := &captureSink{started: true}
+	snk := &captureSink{}
 	runs := []int{1, 256, 3, 9, 256, 1, 1, 40}
 	var total uint64
 	var buf []uint64

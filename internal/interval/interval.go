@@ -28,27 +28,19 @@ package interval
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 
 	"membottle/internal/cache"
+	"membottle/internal/capture"
 	"membottle/internal/machine"
 	"membottle/internal/mem"
 	"membottle/internal/objmap"
 	"membottle/internal/obs"
-	"membottle/internal/pmu"
-	"membottle/internal/shard"
 	"membottle/internal/truth"
 )
-
-// ErrFallback reports that the workload is outside the engine's static
-// preconditions (the same ones as the sharded engine: no references
-// during Setup, no object-map mutation mid-run). Callers run an exact
-// engine instead. None of the built-in workloads trip this.
-var ErrFallback = errors.New("interval: workload needs full simulation")
 
 // Warmup selects how a representative interval's cache is initialized.
 type Warmup int
@@ -306,25 +298,17 @@ type streamMark struct {
 // machine's own capture pass, so this sink's whole per-reference cost is
 // a bulk copy of entries — an eighth of the stream's words on the
 // line-local seed apps (see mem.PackRun for why the collapse is exact
-// under LRU). References seen before started (workload Setup) are only
-// counted: a nonzero Setup count demotes the run, mirroring the sharded
-// engine's precondition.
+// under LRU).
 type captureSink struct {
-	store   traceStore
-	marks   []streamMark
-	refs    uint64 // all delivered references, including during Setup
-	nRefs   uint64 // references represented in the store
-	writes  uint64
-	started bool
+	store  traceStore
+	marks  []streamMark
+	nRefs  uint64 // references represented in the store
+	writes uint64
 }
 
 // ConsumeRuns copies each delivered entry slice into the trace store and
 // records the delivery boundary as a mark.
 func (s *captureSink) ConsumeRuns(entries []uint64, refs, writes, cyclesBefore uint64) {
-	s.refs += refs
-	if !s.started {
-		return
-	}
 	s.marks = append(s.marks, streamMark{entry: s.store.n, ref: s.nRefs, cycles: cyclesBefore})
 	s.nRefs += refs
 	s.writes += writes
@@ -541,19 +525,10 @@ func (w *repWorker) attribute(chunk []uint64, out *repMeasure) {
 // representative-interval engine. The returned Result approximates a
 // full plain run of the same workload and budget; Compare quantifies the
 // approximation against an exact run. A workload outside the engine's
-// static-map preconditions returns ErrFallback (run an exact engine
-// instead); context cancellation surfaces as the capture machine's
+// capture preconditions returns capture.ErrFallback (run the sequential
+// engine instead); context cancellation surfaces as the capture machine's
 // CancelledError.
 func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*Result, error) {
-	if cfg.Cache == (cache.Config{}) {
-		cfg.Cache = cache.DefaultConfig()
-	}
-	if cfg.Costs == (machine.CostModel{}) {
-		cfg.Costs = machine.DefaultCosts()
-	}
-	if err := cfg.Cache.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.IntervalRefs < 0 {
 		return nil, fmt.Errorf("interval: negative interval size %d", cfg.IntervalRefs)
 	}
@@ -569,54 +544,16 @@ func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*R
 		k = DefaultClusters
 	}
 
-	space := mem.NewSpace()
-	m := machine.New(space, cache.New(cfg.Cache), pmu.New(0), cfg.Costs)
-	m.Obs = cfg.Obs
-	om := objmap.New(space)
-	om.BindSpace(space)
-
+	p, err := capture.Setup("interval", w, cfg.Cache, cfg.Costs, cfg.Obs)
+	if err != nil {
+		return nil, err
+	}
 	snk := &captureSink{}
-	m.SetRunCapture(snk)
-
-	w.Setup(m)
-	m.FlushCapture()
-	om.SyncGlobals(space)
-	if snk.refs > 0 {
-		if o := cfg.Obs; o != nil {
-			o.IntervalFallbacks.Inc()
-		}
-		return nil, fmt.Errorf("%w: workload %s issues references during Setup", ErrFallback, w.Name())
+	if err := p.Run(ctx, budget, snk); err != nil {
+		return nil, err
 	}
 
-	// From here the object map must stay frozen: per-worker resolvers
-	// snapshot it once, and the interval plan assumes the stream's
-	// addresses resolve the same at extrapolation time as they would have
-	// at miss time.
-	dirty := false
-	shard.ArmDirtyObservers(space, &dirty)
-	snk.started = true
-
-	// A nil context selects the unsupervised run loop: RunContext polls
-	// the context at every Step boundary, which for compute-heavy
-	// workloads with tiny steps costs several times the capture itself —
-	// and the full engines this one is benchmarked against run unpolled.
-	var runErr error
-	if ctx == nil {
-		m.Run(w, budget)
-	} else {
-		runErr = m.RunContext(ctx, w, budget)
-	}
-	m.FlushCapture()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if dirty {
-		if o := cfg.Obs; o != nil {
-			o.IntervalFallbacks.Inc()
-		}
-		return nil, fmt.Errorf("%w: workload %s mutated the object map mid-run", ErrFallback, w.Name())
-	}
-
+	om := p.Objects
 	nobj := len(om.Objects())
 	totalRefs := snk.nRefs
 	spans := planSpans(&snk.store, snk.marks, totalRefs, cfg.IntervalRefs)
@@ -656,11 +593,11 @@ func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*R
 		}
 		pool := make([]*repWorker, workers)
 		for i := range pool {
-			meas, err := cache.NewPartition(cfg.Cache, 0, 1)
+			meas, err := cache.NewPartition(p.Cache, 0, 1)
 			if err != nil {
 				return nil, err
 			}
-			warm, err := cache.NewPartition(cfg.Cache, 0, 1)
+			warm, err := cache.NewPartition(p.Cache, 0, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -730,9 +667,9 @@ func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*R
 			Hits:   totalRefs - estTotal,
 			Misses: estTotal,
 		},
-		Cycles:   m.Cycles + cfg.Costs.MissCycles*estTotal,
-		Insts:    m.Insts,
-		AppInsts: m.AppInsts,
+		Cycles:   p.Cycles(estTotal),
+		Insts:    p.Machine.Insts,
+		AppInsts: p.Machine.AppInsts,
 		Plan: Plan{
 			TotalRefs: totalRefs,
 			Spans:     spans,
@@ -751,30 +688,18 @@ func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*R
 		}
 		res.SimRefs += measures[c].simRefs
 	}
+	p.FlushObs(res.Stats)
 	flushObs(cfg.Obs, res, snk, assign)
 	return res, nil
 }
 
-// flushObs records the same end-of-run totals a sequential
-// System.FlushObs would (estimated where the engine estimates), plus the
-// interval-specific instruments and trace events.
+// flushObs records the interval-specific instruments and trace events;
+// the end-of-run totals (estimated where the engine estimates) come from
+// the capture pass.
 func flushObs(o *obs.Obs, res *Result, snk *captureSink, assign []int) {
 	if o == nil {
 		return
 	}
-	r := o.Registry
-	r.Counter("sim.cycles").Add(res.Cycles)
-	r.Counter("sim.insts").Add(res.Insts)
-	r.Counter("sim.app_insts").Add(res.AppInsts)
-	r.Counter("sim.handler_cycles").Add(0)
-	r.Counter("cache.refs").Add(res.Stats.Accesses())
-	r.Counter("cache.misses").Add(res.Stats.Misses)
-	r.Counter("pmu.global_misses").Add(res.Stats.Misses)
-	if refs := res.Stats.Accesses(); refs > 0 {
-		r.Gauge("sim.last_run_miss_pct").Set(100 * float64(res.Stats.Misses) / float64(refs))
-	}
-	o.Runs.Inc()
-	o.IntervalRuns.Inc()
 	o.IntervalCount.Add(uint64(len(res.Plan.Spans)))
 	o.IntervalRepSims.Add(uint64(len(res.Reps)))
 	for i, sp := range res.Plan.Spans {

@@ -71,6 +71,9 @@ func TestAllocGate(t *testing.T) {
 		{Name: "machine.AccessBatch/capture(RefSink)",
 			Warmup: func() { mc.AccessBatch(refs) },
 			Op:     func() { mc.AccessBatch(refs) }},
+		{Name: "machine.AccessBatch/runcapture(RunSink)",
+			Warmup: func() { mu.AccessBatch(refs) },
+			Op:     func() { mu.AccessBatch(refs) }},
 		{Name: "machine.LoadRange/runcapture(RunSink)",
 			Warmup: func() { mu.LoadRange(rangeBase, 64*1024, line, 1) },
 			Op:     func() { mu.LoadRange(rangeBase, 64*1024, line, 1) }},

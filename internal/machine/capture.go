@@ -9,12 +9,16 @@ import (
 // Capture mode: the machine executes a workload's instruction stream —
 // charging base costs (hit cycles, compute CPI, allocator costs) to the
 // virtual clock and counting instructions exactly as a live run would —
-// but routes every memory reference to a RefSink instead of the cache.
-// This is the single-pass trace capture of the sharded ground-truth
-// engine: cache outcomes never influence an uninstrumented workload's
-// reference stream (workloads branch on instruction budgets, not on
-// cycles), so the stream can be captured once at near-memcpy speed and
-// simulated set-by-set in parallel afterwards.
+// but routes every memory reference to a sink instead of the cache.
+// Cache outcomes never influence an uninstrumented workload's reference
+// stream (workloads branch on instruction budgets, not on cycles), so
+// the stream can be captured once and simulated offline afterwards.
+//
+// The capture-based ground-truth engines (internal/shard and
+// internal/interval, both driven by internal/capture) consume the
+// run-compacted RunSink stream. The per-reference RefSink stream is kept
+// as the differential reference the run stream is tested against, and
+// for the benchmark's capture and sweep probes.
 
 // RefSink consumes the application reference stream in capture mode.
 type RefSink interface {
@@ -211,8 +215,8 @@ func (m *Machine) captureRunRef(a mem.Addr, write bool) {
 // captureRunBatch is the run-capture batched path: one fused pass sums
 // the compute payloads for the clock and folds every reference into the
 // pending run. This single loop is the whole per-reference cost of the
-// representative-interval engine's capture, so it works on locals and
-// writes machine state back once per chunk.
+// capture engines' batched capture, so it works on locals and writes
+// machine state back once per chunk.
 func (m *Machine) captureRunBatch(refs []Ref) {
 	if m.stopErr != nil || len(refs) == 0 {
 		return

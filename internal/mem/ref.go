@@ -16,8 +16,9 @@ type Ref struct {
 	Compute uint64
 }
 
-// PackRef compresses a reference to one word for shard trace buffers:
-// the address shifted left once with the write flag in the low bit.
+// PackRef compresses a reference to one word for per-reference trace
+// buffers (the form cache.Partition.Sweep replays): the address shifted
+// left once with the write flag in the low bit.
 // Simulated addresses top out below 2^40 (the shadow segment limit), so
 // the shift never loses bits.
 func PackRef(a Addr, write bool) uint64 {

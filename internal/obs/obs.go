@@ -41,18 +41,17 @@ type Obs struct {
 	FaultsInjected  *Counter   // faults.injected: faults delivered across runs
 	Runs            *Counter   // sim.runs: systems flushed into this registry
 
-	// Sharded ground-truth engine instruments.
-	ShardRuns       *Counter   // shard.runs: plain runs served by the sharded engine
-	ShardFallbacks  *Counter   // shard.fallbacks: runs that fell back to sequential
-	ShardChunks     *Counter   // shard.chunks: trace chunks streamed to workers
+	// Sharded ground-truth engine instruments. The capture engines'
+	// once-per-run counters, <engine>.runs (plain runs served) and
+	// <engine>.fallbacks (runs demoted to the sequential engine), are
+	// registered by New and updated by name in internal/capture.
+	ShardChunks     *Counter   // shard.chunks: chunks of run entries streamed to workers
 	ShardWorkerRefs *Histogram // shard.worker_refs: references replayed per worker
 	ShardWorkerMiss *Histogram // shard.worker_misses: misses attributed per worker
 
 	// Representative-interval engine instruments.
-	IntervalRuns      *Counter // interval.runs: plain runs served by the interval engine
-	IntervalFallbacks *Counter // interval.fallbacks: runs demoted to an exact engine
-	IntervalCount     *Counter // interval.intervals: intervals fingerprinted across runs
-	IntervalRepSims   *Counter // interval.rep_sims: cluster representatives simulated
+	IntervalCount   *Counter // interval.intervals: intervals fingerprinted across runs
+	IntervalRepSims *Counter // interval.rep_sims: cluster representatives simulated
 
 	// Persistent result-store instruments.
 	StoreHits         *Counter // store.hits: results served from disk
@@ -106,13 +105,12 @@ func New(opt Options) *Obs {
 	o.CheckpointBytes = r.Histogram("checkpoint.bytes", CheckpointBuckets)
 	o.FaultsInjected = r.Counter("faults.injected")
 	o.Runs = r.Counter("sim.runs")
-	o.ShardRuns = r.Counter("shard.runs")
-	o.ShardFallbacks = r.Counter("shard.fallbacks")
+	for _, name := range []string{"shard.runs", "shard.fallbacks", "interval.runs", "interval.fallbacks"} {
+		r.Counter(name)
+	}
 	o.ShardChunks = r.Counter("shard.chunks")
 	o.ShardWorkerRefs = r.Histogram("shard.worker_refs", WindowBuckets)
 	o.ShardWorkerMiss = r.Histogram("shard.worker_misses", WindowBuckets)
-	o.IntervalRuns = r.Counter("interval.runs")
-	o.IntervalFallbacks = r.Counter("interval.fallbacks")
 	o.IntervalCount = r.Counter("interval.intervals")
 	o.IntervalRepSims = r.Counter("interval.rep_sims")
 	o.StoreHits = r.Counter("store.hits")

@@ -10,9 +10,9 @@ import (
 )
 
 // TestAllocGate pins the shard worker's steady-state replay at zero
-// allocations per chunk: the partition sweep into the reused missIdx
-// buffer plus per-miss attribution against the preallocated counts
-// table.
+// allocations per chunk of run entries: the partition's run sweep into
+// the reused missIdx buffer plus per-miss attribution against the
+// preallocated counts table.
 func TestAllocGate(t *testing.T) {
 	cfg := cache.DefaultConfig()
 	space := mem.NewSpace()
@@ -30,12 +30,12 @@ func TestAllocGate(t *testing.T) {
 		part:    part,
 		res:     om.Resolver(),
 		counts:  make([]uint64, len(om.Objects())),
-		missIdx: make([]uint32, 0, chunkRefs),
+		missIdx: make([]uint32, 0, chunkEntries),
 	}
 	c := newChunk()
-	for i := 0; i < chunkRefs; i++ {
+	for i := 0; i < chunkEntries; i++ {
 		a := base + mem.Addr(uint64(i)*3*uint64(cfg.LineSize)%fieldSize)
-		c.packed = append(c.packed, mem.PackRef(a, i%4 == 0))
+		c.entries = append(c.entries, mem.PackRun(a, 1+i%4))
 	}
 
 	alloctest.Gate(t, []alloctest.Case{

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -9,8 +10,10 @@ import (
 
 	"membottle"
 	"membottle/internal/cache"
+	"membottle/internal/capture"
 	"membottle/internal/machine"
 	"membottle/internal/mem"
+	"membottle/internal/obs"
 	"membottle/internal/shard"
 	"membottle/internal/truth"
 	"membottle/internal/workload"
@@ -121,19 +124,48 @@ func (s *setupRefs) Step(m *machine.Machine) { m.LoadRange(s.base, 4096, 64, 1) 
 // the sequential engine via ErrFallback rather than producing wrong
 // attribution against a stale object-map snapshot.
 func TestShardedFallback(t *testing.T) {
-	if _, err := shard.Run(nil, &allocStep{}, 100_000, shard.Config{Workers: 2}); err == nil || !strings.Contains(err.Error(), "sequential") {
+	if _, err := shard.Run(nil, &allocStep{}, 100_000, shard.Config{Workers: 2}); !errors.Is(err, capture.ErrFallback) || !strings.Contains(err.Error(), "sequential") {
 		t.Errorf("mid-run allocation: want ErrFallback, got %v", err)
 	}
-	if _, err := shard.Run(nil, &setupRefs{}, 100_000, shard.Config{Workers: 2}); err == nil || !strings.Contains(err.Error(), "sequential") {
+	if _, err := shard.Run(nil, &setupRefs{}, 100_000, shard.Config{Workers: 2}); !errors.Is(err, capture.ErrFallback) || !strings.Contains(err.Error(), "sequential") {
 		t.Errorf("setup references: want ErrFallback, got %v", err)
+	}
+}
+
+// TestShardedObs checks the shard instruments against the run they
+// describe: the per-worker reference histogram counts references, not run
+// entries, so its sum is the run's cache.refs.
+func TestShardedObs(t *testing.T) {
+	w, err := workload.New("mgrid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New(obs.Options{NoTrace: true})
+	res, err := shard.Run(nil, w, 2_000_000, shard.Config{Workers: 4, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := o.Registry.Counter("cache.refs").Value()
+	if refs == 0 || refs != res.Stats.Accesses() {
+		t.Fatalf("cache.refs = %d, run made %d references", refs, res.Stats.Accesses())
+	}
+	if sum := o.ShardWorkerRefs.Sum(); sum != refs {
+		t.Errorf("shard.worker_refs sums to %d, cache.refs is %d", sum, refs)
+	}
+	if n := o.ShardWorkerRefs.Count(); n != uint64(res.Shards) {
+		t.Errorf("shard.worker_refs has %d observations, want one per shard (%d)", n, res.Shards)
 	}
 }
 
 // fuzzWork is a deterministic pseudo-random workload over a handful of
 // globals: a xorshift stream picks the object, offset, direction, and
-// trailing compute of every reference.
+// trailing compute of every reference. With runs set, every step also
+// issues run-shaped traffic: a scalar same-line loop longer than
+// mem.MaxRunLen, which saturates and splits runs, and small-stride
+// ranges, whose runs straddle capture deliveries and shard chunks.
 type fuzzWork struct {
 	seed  uint64
+	runs  bool
 	state uint64
 	objs  []mem.Addr
 	sizes []uint64
@@ -170,16 +202,49 @@ func (f *fuzzWork) Step(m *machine.Machine) {
 		}
 	}
 	m.AccessBatch(refs[:])
+	if !f.runs {
+		return
+	}
+
+	// A 16-byte-aligned block lies within one line for every fuzzed line
+	// size, so this loop is one run of more than MaxRunLen references.
+	r := f.next()
+	o := int(r % uint64(len(f.objs)))
+	a := (f.objs[o] + mem.Addr((r>>8)%f.sizes[o])) &^ 15
+	for i := 0; i < mem.MaxRunLen+1+int(r>>40)%300; i++ {
+		if i%5 == 4 {
+			m.Store(a + mem.Addr(i%16))
+		} else {
+			m.Load(a + mem.Addr(i%16))
+		}
+	}
+
+	r = f.next()
+	o = int(r % uint64(len(f.objs)))
+	stride := 1 + (r>>8)%8
+	bytes := 1 + (r>>16)%f.sizes[o]
+	if bytes > 8<<10 {
+		bytes = 8 << 10
+	}
+	base := f.objs[o] + mem.Addr((r>>32)%(f.sizes[o]-bytes+1))
+	if r&(1<<60) != 0 {
+		m.StoreRange(base, bytes, stride, (r>>61)&1)
+	} else {
+		m.LoadRange(base, bytes, stride, (r>>61)&1)
+	}
 }
 
 // FuzzShardEquivalence cross-checks the sharded engine against the
 // sequential machine over random reference streams, cache geometries,
 // and worker counts.
 func FuzzShardEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint(16), uint(6), uint(2), 4, uint64(200_000))
-	f.Add(uint64(42), uint(14), uint(5), uint(0), 1, uint64(100_000))
-	f.Add(uint64(7), uint(12), uint(6), uint(3), 16, uint64(50_000))
-	f.Fuzz(func(t *testing.T, seed uint64, sizeLog, lineLog, assocLog uint, workers int, budget uint64) {
+	f.Add(uint64(1), uint(16), uint(6), uint(2), 4, uint64(200_000), false)
+	f.Add(uint64(42), uint(14), uint(5), uint(0), 1, uint64(100_000), false)
+	f.Add(uint64(7), uint(12), uint(6), uint(3), 16, uint64(50_000), false)
+	f.Add(uint64(3), uint(16), uint(6), uint(2), 4, uint64(290_000), true)
+	f.Add(uint64(99), uint(11), uint(4), uint(1), 1, uint64(250_000), true)
+	f.Add(uint64(5), uint(20), uint(7), uint(3), 7, uint64(120_000), true)
+	f.Fuzz(func(t *testing.T, seed uint64, sizeLog, lineLog, assocLog uint, workers int, budget uint64, runs bool) {
 		sizeLog = 10 + sizeLog%11 // 1 KiB .. 1 MiB
 		lineLog = 4 + lineLog%4   // 16 .. 128 B lines
 		assocLog = assocLog % 4   // 1 .. 8 ways
@@ -194,21 +259,21 @@ func FuzzShardEquivalence(f *testing.F) {
 		budget = 10_000 + budget%300_000
 
 		// Sequential oracle, built from the same parts as membottle.NewSystem.
-		seqW := &fuzzWork{seed: seed}
+		seqW := &fuzzWork{seed: seed, runs: runs}
 		seqSys := membottle.NewSystem(membottle.Config{Cache: cfg})
 		seqSys.LoadWorkload(seqW)
 		seqSys.Run(budget)
 		m := seqSys.Machine
 		want := renderTruth(t, seqSys.Truth, m.Cache.Stats, m.Cycles, m.Insts, m.AppInsts)
 
-		res, err := shard.Run(nil, &fuzzWork{seed: seed}, budget, shard.Config{Cache: cfg, Workers: workers})
+		res, err := shard.Run(nil, &fuzzWork{seed: seed, runs: runs}, budget, shard.Config{Cache: cfg, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := renderTruth(t, res.Truth, res.Stats, res.Cycles, res.Insts, res.AppInsts)
 		if got != want {
-			t.Errorf("seed=%d cfg=%+v workers=%d budget=%d:\nsequential:\n%s\nsharded:\n%s",
-				seed, cfg, workers, budget, want, got)
+			t.Errorf("seed=%d cfg=%+v workers=%d budget=%d runs=%v:\nsequential:\n%s\nsharded:\n%s",
+				seed, cfg, workers, budget, runs, want, got)
 		}
 		if res.Shards&(res.Shards-1) != 0 || bits.OnesCount(uint(res.Shards)) != 1 {
 			t.Errorf("shard count %d not a power of two", res.Shards)
