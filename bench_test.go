@@ -187,13 +187,20 @@ func BenchmarkAblationTimeshare(b *testing.B) {
 
 // --- microbenchmarks: simulator throughput ---------------------------------
 
-func benchThroughput(b *testing.B, app string, scalar bool) {
+// benchThroughput times app's simulation, with prof (if non-nil)
+// attached before the timed run.
+func benchThroughput(b *testing.B, app string, scalar bool, prof membottle.Profiler) {
 	b.Helper()
 	cfg := membottle.DefaultConfig()
 	cfg.ScalarRefs = scalar
 	sys := membottle.NewSystem(cfg)
 	if err := sys.LoadWorkloadByName(app); err != nil {
 		b.Fatal(err)
+	}
+	if prof != nil {
+		if err := sys.Attach(prof); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ResetTimer()
 	sys.Run(uint64(b.N))
@@ -209,10 +216,22 @@ func benchThroughput(b *testing.B, app string, scalar bool) {
 // cmd/mbbench measures: identical simulations through the batched hot
 // path and through the per-reference oracle loop.
 
-func BenchmarkSimulationThroughput(b *testing.B)       { benchThroughput(b, "mgrid", false) }
-func BenchmarkSimulationThroughputScalar(b *testing.B) { benchThroughput(b, "mgrid", true) }
-func BenchmarkSimulationTomcatv(b *testing.B)          { benchThroughput(b, "tomcatv", false) }
-func BenchmarkSimulationTomcatvScalar(b *testing.B)    { benchThroughput(b, "tomcatv", true) }
+func BenchmarkSimulationThroughput(b *testing.B)       { benchThroughput(b, "mgrid", false, nil) }
+func BenchmarkSimulationThroughputScalar(b *testing.B) { benchThroughput(b, "mgrid", true, nil) }
+func BenchmarkSimulationTomcatv(b *testing.B)          { benchThroughput(b, "tomcatv", false, nil) }
+func BenchmarkSimulationTomcatvScalar(b *testing.B)    { benchThroughput(b, "tomcatv", true, nil) }
+
+// The TimerArmed pair runs mgrid under the n-way search, which keeps a
+// PMU cycle timer armed for the whole run: the batched engine's
+// cycle-event path, which the pairs above never reach.
+
+func BenchmarkSimulationThroughputTimerArmed(b *testing.B) {
+	benchThroughput(b, "mgrid", false, membottle.NewSearch(membottle.SearchConfig{N: 10}))
+}
+
+func BenchmarkSimulationThroughputTimerArmedScalar(b *testing.B) {
+	benchThroughput(b, "mgrid", true, membottle.NewSearch(membottle.SearchConfig{N: 10}))
+}
 
 func benchReplay(b *testing.B, scalar bool) {
 	b.Helper()

@@ -24,7 +24,8 @@ func (nullRunSink) ConsumeRuns(entries []uint64, refs, writes, cyclesBefore uint
 // zero across every execution mode: the batched hot path with miss
 // interrupts landing mid-stream and a handler that itself issues
 // batched ranges (the nested buffer lease the hotbuf pool exists for),
-// the pooled range helpers, and both capture modes.
+// the pooled range helpers, the search's armed cycle timer, and both
+// capture modes.
 func TestAllocGate(t *testing.T) {
 	cfg := cache.DefaultConfig()
 	line := uint64(cfg.LineSize)
@@ -55,6 +56,19 @@ func TestAllocGate(t *testing.T) {
 	mr := newMachine()
 	rangeBase := mem.Addr(1) << 30
 
+	// The n-way search's shape: ten region counters and a far cycle timer
+	// that its handler re-arms, so every batch runs with an event armed.
+	mt := New(mem.NewSpace(), cache.New(cfg), pmu.New(10), DefaultCosts())
+	for i := 0; i < 10; i++ {
+		base := mem.Addr(uint64(i) * span / 10)
+		mt.PMU.SetRegion(i, base, base+mem.Addr(span/10))
+	}
+	const searchInterval = 8_000_000
+	mt.PMU.SetTimer(searchInterval)
+	mt.TimerHandler = func(m *Machine) {
+		m.PMU.SetTimer(m.Cycles + searchInterval)
+	}
+
 	mc := newMachine()
 	mc.SetCapture(nullRefSink{})
 
@@ -65,6 +79,12 @@ func TestAllocGate(t *testing.T) {
 		{Name: "machine.AccessBatch/interrupts+nested-range",
 			Warmup: func() { mi.AccessBatch(refs) },
 			Op:     func() { mi.AccessBatch(refs) }},
+		{Name: "machine.AccessBatch/timer-armed",
+			// Enough all-hit passes (~12k cycles each) to reach the
+			// deadline at least once.
+			Runs:   1000,
+			Warmup: func() { mt.AccessBatch(refs) },
+			Op:     func() { mt.AccessBatch(refs) }},
 		{Name: "machine.LoadRange/pooled",
 			Warmup: func() { mr.LoadRange(rangeBase, 64*1024, line, 1) },
 			Op:     func() { mr.LoadRange(rangeBase, 64*1024, line, 1) }},
@@ -81,5 +101,8 @@ func TestAllocGate(t *testing.T) {
 
 	if mi.Interrupts == 0 {
 		t.Fatal("interrupt gate never delivered an interrupt — the nested-lease path was not exercised")
+	}
+	if mt.PMU.TimerIrqs == 0 {
+		t.Fatal("timer gate never fired its timer — the re-arm path was not exercised")
 	}
 }

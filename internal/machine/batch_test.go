@@ -164,6 +164,132 @@ func TestBatchMatchesScalarWithTimesharing(t *testing.T) {
 		})
 }
 
+// TestBatchMatchesScalarTimerMovedMidBatch arms the search's far timer
+// deadline, then lets a miss-interrupt handler pull it into the current
+// batch or disarm it. The batched engine caches only the batch's all-hit
+// cost, never the event, so it must see every move.
+func TestBatchMatchesScalarTimerMovedMidBatch(t *testing.T) {
+	refs := mixedRefs(150_000, 13)
+	diffRig(t, smallCache(), 2,
+		func(m *Machine) {
+			m.PMU.SetRegion(0, 0x100000, 0x200000)
+			m.PMU.SetRegion(1, 0x1000, 0x3000)
+			m.PMU.SetTimer(8_000_000)
+			m.PMU.SetMissInterrupt(37)
+			var k uint64
+			m.MissHandler = func(m *Machine) {
+				k++
+				switch k % 3 {
+				case 0:
+					// Due a few references into the current batch.
+					m.PMU.SetTimer(m.Cycles + 1 + k%300)
+				case 1:
+					m.PMU.SetTimer(0)
+				}
+			}
+			m.TimerHandler = func(m *Machine) {
+				m.LoadRange(0xA_0000_0000, 512, 64, 1)
+				m.PMU.SetTimer(m.Cycles + 8_000_000)
+			}
+		},
+		func(m *Machine) {
+			m.AccessBatch(refs)
+			m.LoadRange(0x10000, 64<<10, 8, 3)
+			if m.PMU.TimerIrqs == 0 {
+				t.Fatal("no timer interrupt delivered; the pulled-in deadlines were not exercised")
+			}
+		})
+}
+
+// slipHook is a pmu.FaultHook that slips every other timer deadline by a
+// varying delay, so the deadline moves while a batch is in flight.
+type slipHook struct{ n uint64 }
+
+func (h *slipHook) MissOverflow() (bool, uint64)  { return false, 0 }
+func (h *slipHook) CorruptCounters([]pmu.Counter) {}
+func (h *slipHook) Timer() (bool, uint64) {
+	h.n++
+	if h.n%2 == 0 {
+		return false, 0
+	}
+	return false, 1 + h.n*7919%3_000
+}
+
+func TestBatchMatchesScalarTimerFaultSlip(t *testing.T) {
+	refs := mixedRefs(150_000, 17)
+	diffRig(t, smallCache(), 1,
+		func(m *Machine) {
+			m.PMU.SetRegion(0, 0x1000, 0x4000)
+			m.PMU.Faults = &slipHook{}
+			m.PMU.SetTimer(20_000)
+			m.TimerHandler = func(m *Machine) {
+				m.LoadRange(0xA_0000_0000, 512, 64, 1)
+				m.PMU.SetTimer(m.Cycles + 20_000)
+			}
+		},
+		func(m *Machine) {
+			m.AccessBatch(refs)
+			if m.PMU.TimerIrqs == 0 {
+				t.Fatal("no timer interrupt delivered")
+			}
+		})
+}
+
+// FuzzBatchMatchesScalar runs mixedRefs through the scalar and batched
+// engines under any combination of the PMU's event sources: a re-arming
+// cycle timer, timeshared counters, and miss-overflow interrupts (each 0
+// = off). Its handlers touch memory and move the timer, as the profilers
+// do. The timer interval stays above one interrupt delivery: a shorter
+// one re-fires during its own delivery, an interrupt storm that livelocks
+// the scalar and batched engines alike.
+func FuzzBatchMatchesScalar(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, n uint, timer, quantum, missEvery uint64) {
+		refs := mixedRefs(1+int(n%20_000), seed)
+		if timer != 0 {
+			timer = 10_000 + timer%10_000_000
+		}
+		if quantum != 0 {
+			quantum = 1 + quantum%50_000
+		}
+		if missEvery != 0 {
+			missEvery = 1 + missEvery%2_000
+		}
+		diffRig(t, smallCache(), 4,
+			func(m *Machine) {
+				if quantum != 0 {
+					m.PMU.EnableTimesharing(2, quantum)
+				}
+				m.PMU.SetRegion(0, 0x100000, 0x180000)
+				m.PMU.SetRegion(1, 0x180000, 0x200000)
+				m.PMU.SetRegion(2, 0x1000, 0x2000)
+				m.PMU.SetRegion(3, 0x2000, 0x3000)
+				if timer != 0 {
+					m.PMU.SetTimer(timer)
+					m.TimerHandler = func(m *Machine) {
+						m.LoadRange(0xA_0000_0000, 256, 64, 1)
+						// A delivery cycle that differs by one shows up
+						// in Cycles.
+						m.Compute(m.Cycles % 17)
+						m.PMU.SetTimer(m.Cycles + timer)
+					}
+				}
+				if missEvery != 0 {
+					m.PMU.SetMissInterrupt(missEvery)
+					m.MissHandler = func(m *Machine) {
+						m.LoadRange(0xB_0000_0000, 128, 64, 2)
+						if timer != 0 && m.PMU.MissIrqs%2 == 0 {
+							// Pull the deadline into the current batch.
+							m.PMU.SetTimer(m.Cycles + 1 + m.PMU.MissIrqs%500)
+						}
+					}
+				}
+			},
+			func(m *Machine) {
+				m.AccessBatch(refs)
+			})
+	})
+}
+
 func TestBatchMatchesScalarTruthHook(t *testing.T) {
 	// OnMiss observers (ground truth) must see the same miss stream.
 	refs := mixedRefs(100_000, 11)
@@ -230,6 +356,56 @@ func TestCapRefs(t *testing.T) {
 		n, tick := capRefs(refs, 0, c.ev, cost)
 		if n != c.n || tick != c.tick {
 			t.Errorf("capRefs(ev=%d) = (%d,%v), want (%d,%v)", c.ev, n, tick, c.n, c.tick)
+		}
+	}
+
+	// The property AccessBatch relies on to skip capRefs: whenever
+	// endsBefore holds, capRefs returns (len(refs), false). At the
+	// boundary, one cycle of horizon before the event skips, and a last
+	// tick landing exactly on the event scans, where capRefs must cut or
+	// tick.
+	cost.ComputeCPI = 3
+	s := uint64(0x9E3779B97F4A7C15)
+	next := func() uint64 {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		return s
+	}
+	for iter := 0; iter < 2_000; iter++ {
+		refs := make([]Ref, 1+next()%64)
+		for i := range refs {
+			if next()%3 == 0 {
+				refs[i].Compute = next() % 20
+			}
+		}
+		cycles := next() % 1_000_000
+		rest := allHitCycles(refs, cost)
+		all := len(refs)
+
+		// A random event on either side of the horizon.
+		if ev := cycles + 1 + next()%(2*rest); endsBefore(cycles, rest, ev) {
+			if n, tick := capRefs(refs, cycles, ev, cost); n != all || tick {
+				t.Fatalf("cycles=%d rest=%d ev=%d: capRefs = (%d,%v), want (%d,false)", cycles, rest, ev, n, tick, all)
+			}
+		}
+		// An event already due is never skipped.
+		if ev := cycles - next()%(cycles+1); endsBefore(cycles, rest, ev) {
+			t.Fatalf("cycles=%d ev=%d: an event already due was skipped", cycles, ev)
+		}
+		// cycles+rest == ev-1: skipped, and capRefs agrees.
+		if !endsBefore(cycles, rest, cycles+rest+1) {
+			t.Fatalf("cycles=%d rest=%d: horizon one cycle before the event was not skipped", cycles, rest)
+		}
+		if n, tick := capRefs(refs, cycles, cycles+rest+1, cost); n != all || tick {
+			t.Fatalf("ev = horizon+1: capRefs = (%d,%v), want (%d,false)", n, tick, all)
+		}
+		// cycles+rest == ev: scanned, and capRefs cuts or ticks.
+		if endsBefore(cycles, rest, cycles+rest) {
+			t.Fatalf("cycles=%d rest=%d: horizon landing on the event was skipped", cycles, rest)
+		}
+		if n, tick := capRefs(refs, cycles, cycles+rest, cost); n == all && !tick {
+			t.Fatalf("ev = horizon: capRefs = (%d,false), want a cut or a trailing tick", n)
 		}
 	}
 }

@@ -494,6 +494,15 @@ const batchChunk = 1024
 // path only for per-miss bookkeeping and at PMU cycle events (timer
 // deadlines, timeshare rotations), so interrupt delivery points, cycle
 // counts, and cache state stay bit-identical to scalar execution.
+//
+// While a cycle event is armed, rest holds the all-hit cycle cost of the
+// unconsumed references (see allHitCycles): computed once, the first
+// time an event is armed, and kept current as references are consumed.
+// When the whole remainder would end before the event even if it all
+// hit, capRefs cannot cut the batch, so its per-reference scan is
+// skipped. Only that cost is cached; the event itself is re-read every
+// iteration, because handlers delivered mid-batch re-arm or disarm the
+// timer and fault hooks slip its deadline.
 func (m *Machine) AccessBatch(refs []Ref) {
 	if m.capturing {
 		m.captureBatch(refs)
@@ -509,6 +518,8 @@ func (m *Machine) AccessBatch(refs []Ref) {
 		o.Batches.Inc()
 		o.BatchRefs.Add(uint64(len(refs)))
 	}
+	var rest uint64 // meaningful only once restKnown is set
+	restKnown := false
 	for len(refs) > 0 {
 		if m.stopErr != nil {
 			return
@@ -523,12 +534,18 @@ func (m *Machine) AccessBatch(refs []Ref) {
 		n := len(refs)
 		tickAfter := false
 		if ev, armed := m.PMU.NextCycleEvent(); armed {
-			n, tickAfter = capRefs(refs, m.Cycles, ev, m.Cost)
+			if !restKnown {
+				rest, restKnown = allHitCycles(refs, m.Cost), true
+			}
+			if !endsBefore(m.Cycles, rest, ev) {
+				n, tickAfter = capRefs(refs, m.Cycles, ev, m.Cost)
+			}
 			if n == 0 {
 				// The event fires during the next reference: take the
 				// scalar path so the tick lands mid-element, as it would
 				// in an unbatched run.
 				m.scalarRefs(refs[:1])
+				rest -= m.Cost.HitCycles + refs[0].Compute*m.Cost.ComputeCPI
 				refs = refs[1:]
 				continue
 			}
@@ -540,7 +557,9 @@ func (m *Machine) AccessBatch(refs []Ref) {
 			if !m.inHandler {
 				m.AppInsts += insts
 			}
-			m.Cycles += uint64(done)*m.Cost.HitCycles + compute*m.Cost.ComputeCPI
+			charged := uint64(done)*m.Cost.HitCycles + compute*m.Cost.ComputeCPI
+			m.Cycles += charged
+			rest -= charged
 			if m.runCtx != nil {
 				m.pollIn -= done
 			}
@@ -563,6 +582,7 @@ func (m *Machine) AccessBatch(refs []Ref) {
 			}
 			if r.Compute > 0 {
 				m.Compute(r.Compute)
+				rest -= r.Compute * m.Cost.ComputeCPI
 			}
 			refs = refs[done:]
 			continue
@@ -615,6 +635,25 @@ func capRefs(refs []Ref, cycles, ev uint64, cost CostModel) (int, bool) {
 		}
 	}
 	return len(refs), false
+}
+
+// allHitCycles is the cycle cost of refs if every reference hits: the
+// clock value capRefs would reach after the batch's last tick, minus the
+// starting count.
+func allHitCycles(refs []Ref, cost CostModel) uint64 {
+	var compute uint64
+	for i := range refs {
+		compute += refs[i].Compute
+	}
+	return uint64(len(refs))*cost.HitCycles + compute*cost.ComputeCPI
+}
+
+// endsBefore reports whether a batch starting at cycles with all-hit cost
+// rest takes its last tick strictly before the event at ev. capRefs'
+// ticks are non-decreasing and end at cycles+rest, so then it would
+// return (len(refs), false) and need not run.
+func endsBefore(cycles, rest, ev uint64) bool {
+	return ev > cycles && cycles+rest < ev
 }
 
 // leaseBatch leases a staging buffer for one rangeRefs invocation. The
