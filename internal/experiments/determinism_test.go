@@ -27,7 +27,7 @@ func TestTable1DeterministicAcrossParallelism(t *testing.T) {
 	apps := []string{"mgrid", "figure2", "compress"}
 	const budget = 4_000_000
 
-	serial, err := Table1(Options{Apps: apps, Budget: budget, Serial: true})
+	serial, err := Table1(Options{Apps: apps, Budget: budget, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +49,11 @@ func TestTable1ScalarMatchesBatched(t *testing.T) {
 	apps := []string{"mgrid", "figure2", "compress"}
 	const budget = 4_000_000
 
-	batched, err := Table1(Options{Apps: apps, Budget: budget, Serial: true})
+	batched, err := Table1(Options{Apps: apps, Budget: budget, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := Table1(Options{Apps: apps, Budget: budget, Serial: true, Scalar: true})
+	scalar, err := Table1(Options{Apps: apps, Budget: budget, Parallel: 1, Scalar: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestTable1DeterministicAcrossStoreStates(t *testing.T) {
 	const budget = 4_000_000
 	dir := t.TempDir()
 
-	off, err := Table1(Options{Apps: apps, Budget: budget, Serial: true,
+	off, err := Table1(Options{Apps: apps, Budget: budget, Parallel: 1,
 		TruthCache: NewTruthCache()})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestTable1DeterministicAcrossStoreStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Table1(Options{Apps: apps, Budget: budget, Serial: true,
+	cold, err := Table1(Options{Apps: apps, Budget: budget, Parallel: 1,
 		TruthCache: NewTruthCache(), Store: coldStore})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestTable1DeterministicAcrossStoreStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Table1(Options{Apps: apps, Budget: budget, Serial: true,
+	warm, err := Table1(Options{Apps: apps, Budget: budget, Parallel: 1,
 		TruthCache: NewTruthCache(), Store: warmStore, Obs: o})
 	if err != nil {
 		t.Fatal(err)

@@ -443,7 +443,7 @@ func TestSampleIntervalSensitivity(t *testing.T) {
 
 func TestParallelMatchesSerial(t *testing.T) {
 	apps := []string{"mgrid", "figure2"}
-	serial, err := Table1(Options{Apps: apps, Budget: 40_000_000, Serial: true})
+	serial, err := Table1(Options{Apps: apps, Budget: 40_000_000, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,9 +477,6 @@ func TestParallelPropagatesErrors(t *testing.T) {
 }
 
 func TestParallelismResolution(t *testing.T) {
-	if got := (Options{Serial: true, Parallel: 8}).parallelism(); got != 1 {
-		t.Fatalf("Serial ignored: %d", got)
-	}
 	if got := (Options{Parallel: 3}).parallelism(); got != 3 {
 		t.Fatalf("Parallel = %d", got)
 	}

@@ -50,12 +50,11 @@ type Options struct {
 	// applications (each run itself is single-threaded and
 	// deterministic). 0 means GOMAXPROCS.
 	Parallel int
-	// Serial forces one run at a time (equivalent to Parallel=1).
-	Serial bool
 	// Scalar runs every simulation on the per-reference scalar engine
 	// instead of the batched fast path. Output is byte-identical either
 	// way (the determinism tests enforce it); scalar mode is the oracle
-	// baseline and what cmd/mbbench measures speedups against.
+	// baseline and what cmd/mbbench's table1, figure3 and replay families
+	// measure speedups against.
 	Scalar bool
 	// Ctx, when non-nil, supervises every simulation run: cancelling it
 	// stops in-flight runs cleanly at workload step boundaries, and the
@@ -80,7 +79,7 @@ type Options struct {
 	// sequential engine instead of the set-sharded parallel one. Output
 	// is byte-identical either way (the shard differential tests enforce
 	// it); the sequential engine is the oracle baseline and what
-	// cmd/mbbench -truth measures speedups against.
+	// cmd/mbbench's truth family measures speedups against.
 	SeqTruth bool
 	// Intervals serves plain ground-truth runs from the
 	// representative-interval engine (internal/interval): the reference

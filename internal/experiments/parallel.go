@@ -84,9 +84,6 @@ func CellErrors(err error) []*CellError {
 
 // parallelism resolves the worker count from Options.
 func (o Options) parallelism() int {
-	if o.Serial {
-		return 1
-	}
 	n := o.Parallel
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)

@@ -12,11 +12,11 @@ func TestTable1ShardedMatchesSequentialTruth(t *testing.T) {
 	apps := []string{"mgrid", "figure2", "compress"}
 	const budget = 4_000_000
 
-	sharded, err := Table1(Options{Apps: apps, Budget: budget, Serial: true, TruthWorkers: 4})
+	sharded, err := Table1(Options{Apps: apps, Budget: budget, Parallel: 1, TruthWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sequential, err := Table1(Options{Apps: apps, Budget: budget, Serial: true, SeqTruth: true})
+	sequential, err := Table1(Options{Apps: apps, Budget: budget, Parallel: 1, SeqTruth: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestTruthCacheMemoizes(t *testing.T) {
 	const budget = 2_000_000
 
 	tc := NewTruthCache()
-	opt := Options{Apps: apps, Budget: budget, Serial: true, TruthCache: tc}
+	opt := Options{Apps: apps, Budget: budget, Parallel: 1, TruthCache: tc}
 
 	first, err := Table1(opt)
 	if err != nil {
@@ -52,7 +52,7 @@ func TestTruthCacheMemoizes(t *testing.T) {
 		t.Fatalf("after second run: %d cached baselines, want %d (no new runs)", got, want)
 	}
 
-	uncached, err := Table1(Options{Apps: apps, Budget: budget, Serial: true})
+	uncached, err := Table1(Options{Apps: apps, Budget: budget, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,9 @@ func (c Config) withDefaults() Config {
 //
 // Keys: seed, drop-miss, delay-miss, delay-misses, drop-timer,
 // delay-timer, delay-cycles, zero-counter, saturate-counter,
-// corrupt-batch, apps (plus-separated workload names).
+// corrupt-batch, apps (plus-separated workload names). Each key may
+// appear once, and every app name must be non-empty: a spec that would
+// silently inject nothing, or silently drop a value, is an error.
 func Parse(spec string) (*Config, error) {
 	cfg := &Config{}
 	if strings.TrimSpace(spec) == "" {
@@ -136,11 +138,16 @@ func Parse(spec string) (*Config, error) {
 		}
 		return f, nil
 	}
+	seen := map[string]bool{}
 	for _, kv := range strings.Split(spec, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
 			return nil, fmt.Errorf("faults: bad pair %q (want key=value)", kv)
 		}
+		if seen[k] {
+			return nil, fmt.Errorf("faults: repeated key %q", k)
+		}
+		seen[k] = true
 		var err error
 		switch k {
 		case "seed":
@@ -165,7 +172,10 @@ func Parse(spec string) (*Config, error) {
 			cfg.CorruptBatch, err = rate(v)
 		case "apps":
 			cfg.Apps = strings.Split(v, "+")
-			sort.Strings(cfg.Apps)
+			sort.Strings(cfg.Apps) // an empty name sorts first
+			if cfg.Apps[0] == "" {
+				err = fmt.Errorf("empty app name in %q", v)
+			}
 		default:
 			return nil, fmt.Errorf("faults: unknown key %q", k)
 		}

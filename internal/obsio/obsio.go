@@ -2,8 +2,8 @@
 // a shared flag block (-metrics, -trace-out, -trace-chrome, -trace-cap,
 // -pprof, -progress), construction of the obs bundle those flags imply, and the
 // end-of-run export of the metrics summary and trace files. The CLIs
-// (membottle, mbtables, mbbench) register the same block so the flags
-// mean the same thing everywhere.
+// (membottle, mbtables) register the same block so the flags mean the
+// same thing everywhere.
 package obsio
 
 import (

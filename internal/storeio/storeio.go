@@ -1,9 +1,8 @@
 // Package storeio is the command-line glue for the persistent result
 // store: a shared flag block (-store, -store-dir, -store-clear,
 // -store-max-bytes) and construction of the store those flags imply.
-// The CLIs (membottle, mbtables; mbbench declares its own equivalents
-// because -store there selects the benchmark family) register the same
-// block so the flags mean the same thing everywhere.
+// The CLIs (membottle, mbtables) register the same block so the flags
+// mean the same thing everywhere.
 package storeio
 
 import (

@@ -192,7 +192,7 @@ type Config struct {
 	// memory reference through the per-reference scalar loop. Batched and
 	// scalar execution are bit-identical (the differential oracle tests
 	// enforce it); scalar mode is the trusted baseline those tests and
-	// cmd/mbbench compare against.
+	// cmd/mbbench's table1, figure3 and replay families compare against.
 	ScalarRefs bool
 	// Sanitize enables the invariant sanitizer: a shadow cache model and
 	// per-interrupt cross-checks of PMU counters against cache statistics

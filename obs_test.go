@@ -193,8 +193,9 @@ func measureAlternating(t *testing.T, reps int, runA, runB func() uint64) (bestA
 // factor, and the reference streams must be identical (the determinism
 // tripwire). Wall-clock thresholds are generous by default because CI
 // machines are noisy; set MB_OVERHEAD_STRICT=1 on quiet hardware for the
-// 3% bound the observability layer is designed to. cmd/mbbench -obs is
-// the documenting benchmark behind the README numbers.
+// 3% bound the observability layer is designed to. The obs-table1 and
+// obs-figure3 families of cmd/mbbench are the documenting benchmark behind
+// the README numbers.
 func TestObsOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test; skipped in -short")
