@@ -8,10 +8,10 @@ import (
 )
 
 // TestAllocGate pins the cache engine's steady-state allocation budget
-// at zero: the scalar path, the batched path, the shard partition
-// replay paths, and the reused-snapshot path must not allocate per
-// call. The working set is twice the cache, so every op sees a steady
-// mix of hits, misses, and fills.
+// at zero: the scalar path, the batched and same-line-run paths, the
+// shard partition replay paths, and the reused-snapshot path must not
+// allocate per call. The working set is twice the cache, so every op
+// sees a steady mix of hits, misses, and fills.
 func TestAllocGate(t *testing.T) {
 	cfg := DefaultConfig()
 	line := uint64(cfg.LineSize)
@@ -58,6 +58,15 @@ func TestAllocGate(t *testing.T) {
 			for len(rest) > 0 {
 				n, _, _ := c.AccessBatch(rest)
 				rest = rest[n:]
+			}
+		}},
+		{Name: "cache.AccessRun", Op: func() {
+			for i := range refs {
+				a := refs[i].Addr
+				for n := uint64(8); n > 0; {
+					done, _ := c.AccessRun(a, n, refs[i].Write)
+					n -= done
+				}
 			}
 		}},
 		{Name: "cache.StateInto/reused", Warmup: func() { c.StateInto(&snap) },

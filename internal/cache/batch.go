@@ -123,3 +123,42 @@ func (c *Cache) AccessBatch(refs []mem.Ref) (int, uint64, bool) {
 	}
 	return n, compute, missed
 }
+
+// AccessRun simulates n >= 1 consecutive references to the line holding
+// a with one probe. Only the first reference of a same-line run can miss
+// (see mem.PackRun), so on a hit it consumes all n: the clock advances
+// by n, the way's stamp becomes the final clock, and Hits and
+// Reads/Writes rise by n, exactly as n Access calls would leave them. On
+// a miss it consumes only the first reference, filling the victim with
+// Access's <= tie-break, and returns (1, true): the caller owes that miss
+// its machine-side bookkeeping before probing the rest of the run again.
+func (c *Cache) AccessRun(a mem.Addr, n uint64, write bool) (done uint64, missed bool) {
+	line := uint64(a) >> c.lineShift
+	base := int(line&c.setMask) * c.assoc
+	s := c.ways[base : base+c.assoc : base+c.assoc]
+	victim, oldest := 0, ^uint64(0)
+	for i := range s {
+		if st := s[i].stamp; st != 0 && s[i].tag == line {
+			c.clock += n
+			s[i].stamp = c.clock
+			c.Stats.Hits += n
+			if write {
+				c.Stats.Writes += n
+			} else {
+				c.Stats.Reads += n
+			}
+			return n, false
+		} else if st <= oldest {
+			victim, oldest = i, st
+		}
+	}
+	c.clock++
+	s[victim] = way{tag: line, stamp: c.clock}
+	c.Stats.Misses++
+	if write {
+		c.Stats.Writes++
+	} else {
+		c.Stats.Reads++
+	}
+	return 1, true
+}

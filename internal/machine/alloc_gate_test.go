@@ -22,10 +22,9 @@ func (nullRunSink) ConsumeRuns(entries []uint64, refs, writes, cyclesBefore uint
 
 // TestAllocGate pins the machine's steady-state allocation budget at
 // zero across every execution mode: the batched hot path with miss
-// interrupts landing mid-stream and a handler that itself issues
-// batched ranges (the nested buffer lease the hotbuf pool exists for),
-// the pooled range helpers, the search's armed cycle timer, and both
-// capture modes.
+// interrupts landing mid-stream and a handler that itself issues a
+// strided range, the line-at-a-time range helpers, the search's armed
+// cycle timer, and both capture modes.
 func TestAllocGate(t *testing.T) {
 	cfg := cache.DefaultConfig()
 	line := uint64(cfg.LineSize)
@@ -43,8 +42,7 @@ func TestAllocGate(t *testing.T) {
 	}
 
 	// Batched execution under interrupts: the sampler configuration, with
-	// the handler sweeping its own range so every AccessBatch nests a
-	// second lease under the first.
+	// the handler sweeping its own range inside every AccessBatch.
 	mi := newMachine()
 	mi.PMU.SetMissInterrupt(512)
 	handlerBase := mem.Addr(1) << 40
@@ -85,12 +83,15 @@ func TestAllocGate(t *testing.T) {
 			Runs:   1000,
 			Warmup: func() { mt.AccessBatch(refs) },
 			Op:     func() { mt.AccessBatch(refs) }},
-		{Name: "machine.LoadRange/pooled",
-			Warmup: func() { mr.LoadRange(rangeBase, 64*1024, line, 1) },
-			Op:     func() { mr.LoadRange(rangeBase, 64*1024, line, 1) }},
+		{Name: "machine.LoadRange/line-runs",
+			Warmup: func() { mr.LoadRange(rangeBase, 64*1024, 8, 1) },
+			Op:     func() { mr.LoadRange(rangeBase, 64*1024, 8, 1) }},
 		{Name: "machine.AccessBatch/capture(RefSink)",
 			Warmup: func() { mc.AccessBatch(refs) },
 			Op:     func() { mc.AccessBatch(refs) }},
+		{Name: "machine.LoadRange/capture(RefSink)",
+			Warmup: func() { mc.LoadRange(rangeBase, 64*1024, 8, 1) },
+			Op:     func() { mc.LoadRange(rangeBase, 64*1024, 8, 1) }},
 		{Name: "machine.AccessBatch/runcapture(RunSink)",
 			Warmup: func() { mu.AccessBatch(refs) },
 			Op:     func() { mu.AccessBatch(refs) }},
@@ -100,7 +101,7 @@ func TestAllocGate(t *testing.T) {
 	})
 
 	if mi.Interrupts == 0 {
-		t.Fatal("interrupt gate never delivered an interrupt — the nested-lease path was not exercised")
+		t.Fatal("interrupt gate never delivered an interrupt — the nested-range path was not exercised")
 	}
 	if mt.PMU.TimerIrqs == 0 {
 		t.Fatal("timer gate never fired its timer — the re-arm path was not exercised")

@@ -176,6 +176,43 @@ func (m *Machine) flushCapBuf() {
 	m.capBuf = m.capBuf[:0]
 }
 
+// captureRange is the RefSink path of the range helpers: the range is
+// staged in capBuf and delivered a full buffer at a time, the same slices
+// and cycle stamps as AccessBatch calls on the materialised range in
+// capBuf-sized chunks. capBuf is left empty, so a trailing Compute call
+// does not fold into the range's last reference.
+func (m *Machine) captureRange(base mem.Addr, bytes, stride, computePer uint64, write bool) {
+	if m.stopErr != nil || bytes == 0 {
+		return
+	}
+	m.flushCapBuf()
+	perRef := m.Cost.HitCycles + computePer*m.Cost.ComputeCPI
+	for off := uint64(0); off < bytes; {
+		if m.stopErr != nil {
+			return
+		}
+		buf := m.capBuf
+		for ; off < bytes && len(buf) < cap(buf); off += stride {
+			buf = append(buf, Ref{Addr: base + mem.Addr(off), Write: write, Compute: computePer})
+		}
+		n := uint64(len(buf))
+		m.Insts += n * (1 + computePer)
+		if !m.inHandler {
+			m.AppInsts += n * (1 + computePer)
+		}
+		m.capCyc0 = m.Cycles
+		m.Cycles += n * perRef
+		m.capBuf = buf
+		m.flushCapBuf()
+		if m.runCtx != nil {
+			m.pollIn -= int(n)
+			if m.pollIn <= 0 {
+				m.pollCtx()
+			}
+		}
+	}
+}
+
 // captureRunRef is the run-capture scalar path: charge the base cost,
 // then fold the reference into the pending same-line run, emitting a
 // packed entry only when the line changes (or a run saturates). The

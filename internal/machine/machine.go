@@ -12,9 +12,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"membottle/internal/cache"
-	"membottle/internal/hotbuf"
 	"membottle/internal/mem"
 	"membottle/internal/obs"
 	"membottle/internal/pmu"
@@ -135,12 +135,6 @@ type Machine struct {
 	Scalar bool
 
 	inHandler bool
-	// batchPool leases the range helpers' staging buffers. Interrupt
-	// handlers delivered mid-batch may themselves call the range helpers,
-	// so rangeRefs leases one buffer per nesting level; the pool retains
-	// every level's buffer after first use, so the steady state — any
-	// nesting depth already visited once — allocates nothing.
-	batchPool *hotbuf.Pool[mem.Ref]
 
 	// Capture mode (see capture.go): when capturing is set every
 	// reference bypasses the cache and flows to a sink instead — either
@@ -480,7 +474,8 @@ func (m *Machine) pollCtx() {
 // Ref is one reference in a batch; see mem.Ref.
 type Ref = mem.Ref
 
-// batchChunk bounds the reusable batch buffer used by the range helpers.
+// batchChunk bounds the RefSink staging buffer (capBuf), and with it the
+// slices a captured range is delivered in.
 const batchChunk = 1024
 
 // AccessBatch issues a batch of consecutive references, each optionally
@@ -656,16 +651,6 @@ func endsBefore(cycles, rest, ev uint64) bool {
 	return ev > cycles && cycles+rest < ev
 }
 
-// leaseBatch leases a staging buffer for one rangeRefs invocation. The
-// pool is built lazily so machines that never batch (capture mode,
-// scalar differential baselines) pay nothing for it.
-func (m *Machine) leaseBatch() []Ref {
-	if m.batchPool == nil {
-		m.batchPool = hotbuf.NewPool[mem.Ref](batchChunk, 0)
-	}
-	return m.batchPool.Lease()
-}
-
 // LoadRange streams reads over [base, base+bytes) with the given stride,
 // a helper for array-sweep workload kernels. computePer is the number of
 // compute instructions charged per element.
@@ -679,33 +664,135 @@ func (m *Machine) StoreRange(base mem.Addr, bytes, stride, computePer uint64) {
 }
 
 func (m *Machine) rangeRefs(base mem.Addr, bytes, stride, computePer uint64, write bool) {
-	if m.Scalar || m.OnRef != nil || m.OnAccess != nil {
+	switch {
+	case m.Scalar || m.OnRef != nil || m.OnAccess != nil:
 		for off := uint64(0); off < bytes; off += stride {
 			m.access(base+mem.Addr(off), write)
 			if computePer > 0 {
 				m.Compute(computePer)
 			}
 		}
-		return
-	}
-	if m.runSink != nil {
-		// Run-compacted capture never needs the materialized Ref slice:
-		// the strided range folds straight into packed run entries.
+	case m.runSink != nil:
+		// Run-compacted capture folds the strided range straight into
+		// packed run entries.
 		m.captureRunRange(base, bytes, stride, computePer, write)
+	case m.capturing:
+		m.captureRange(base, bytes, stride, computePer, write)
+	default:
+		m.liveRange(base, bytes, stride, computePer, write)
+	}
+}
+
+// liveRange simulates a strided range one cache line at a time. It
+// simulates exactly the scalar sequence
+//
+//	for off := 0; off < bytes; off += stride { Load/Store(base+off); Compute(computePer) }
+//
+// but probes the cache once per same-line run (Cache.AccessRun): only a
+// run's first reference can miss, so a hit consumes the whole run and
+// is charged in bulk. A miss consumes one reference and takes the scalar
+// path's miss bookkeeping; the rest of the line is then probed again,
+// because a handler delivered at that miss may have evicted it. While a
+// PMU cycle event is armed, a run is cut in closed form before the first
+// reference whose access or compute tick would reach the event, and that
+// reference runs through the scalar path (see DESIGN.md, "Strided
+// ranges: one probe per same-line run").
+func (m *Machine) liveRange(base mem.Addr, bytes, stride, computePer uint64, write bool) {
+	if bytes == 0 {
 		return
 	}
-	buf := m.leaseBatch()
-	for off := uint64(0); off < bytes; off += stride {
-		buf = append(buf, Ref{Addr: base + mem.Addr(off), Write: write, Compute: computePer})
-		if len(buf) == cap(buf) {
-			m.AccessBatch(buf)
-			buf = buf[:0]
+	// The single per-range observability probe.
+	if o := m.Obs; o != nil {
+		o.Batches.Inc()
+		o.BatchRefs.Add((bytes + stride - 1) / stride)
+	}
+	lineSize := uint64(m.Cache.Config().LineSize)
+	shift := uint(bits.TrailingZeros64(lineSize))
+	// perLine is the reference count of a run that starts within one
+	// stride of its line's start and ends at the line's end, when the
+	// stride divides the line; 0 means every run takes the division.
+	var perLine uint64
+	if lineSize%stride == 0 {
+		perLine = lineSize / stride
+	}
+	cost := m.Cost.HitCycles + computePer*m.Cost.ComputeCPI
+	insts := 1 + computePer
+	off, end := uint64(base), uint64(base)+bytes
+	for off < end {
+		// left counts the range's references to the line holding off.
+		lineEnd := (off>>shift + 1) << shift
+		left := perLine
+		if lineEnd > end || off-(lineEnd-lineSize) >= stride || perLine == 0 {
+			left = (min(lineEnd, end) - off + stride - 1) / stride
+		}
+		for left > 0 {
+			if m.stopErr != nil {
+				return
+			}
+			if m.runCtx != nil && m.pollIn <= 0 {
+				m.pollCtx()
+			}
+			cnt := left
+			if ev, armed := m.PMU.NextCycleEvent(); armed && m.Cycles+cnt*cost >= ev {
+				// The run's last tick (at Cycles+cnt*cost if all hit)
+				// would reach the event: keep the j references whose
+				// ticks all land before it.
+				var j uint64
+				if ev > m.Cycles && cost > 0 {
+					j = (ev - m.Cycles - 1) / cost
+				}
+				if j == 0 {
+					// The event lands on this reference's access or
+					// compute tick: run it scalar so the tick observes
+					// the same clock.
+					m.access(mem.Addr(off), write)
+					if computePer > 0 {
+						m.Compute(computePer)
+					}
+					off += stride
+					left--
+					continue
+				}
+				cnt = j
+			}
+			a := mem.Addr(off)
+			done, missed := m.Cache.AccessRun(a, cnt, write)
+			off += done * stride
+			left -= done
+			if m.runCtx != nil {
+				m.pollIn -= int(done)
+			}
+			if !missed {
+				m.Insts += done * insts
+				if !m.inHandler {
+					m.AppInsts += done * insts
+				}
+				m.Cycles += done * cost
+				continue
+			}
+			// The cache already filled the line; what remains is the
+			// scalar path's miss bookkeeping, then the reference's own
+			// compute (charged after any interrupt, as in scalar
+			// execution). The rest of the line is probed again: a
+			// handler delivered here may have evicted it.
+			m.Insts++
+			if !m.inHandler {
+				m.AppInsts++
+			}
+			m.Cycles += m.Cost.HitCycles + m.Cost.MissCycles
+			if m.OnMiss != nil {
+				m.OnMiss(a, write, m.inHandler)
+			}
+			m.PMU.RecordMiss(a)
+			m.PMU.TickCycles(m.Cycles)
+			if !m.inHandler && m.PMU.HasPending() {
+				m.deliver()
+			}
+			if computePer > 0 {
+				m.Compute(computePer)
+			}
 		}
 	}
-	if len(buf) > 0 {
-		m.AccessBatch(buf)
-	}
-	m.batchPool.Return(buf)
 }
 
 // --- checkpoint state ----------------------------------------------------

@@ -24,7 +24,7 @@ type Obs struct {
 	IrqLatency   *Histogram // sim.irq_latency_cycles: delivery + handler cost
 	WindowRefs   *Histogram // sim.window_refs: references between interrupts
 	WindowMisses *Histogram // sim.window_misses: misses between interrupts
-	Batches      *Counter   // sim.batches: AccessBatch invocations
+	Batches      *Counter   // sim.batches: entries into the batched path, one per AccessBatch call or strided range
 	BatchRefs    *Counter   // sim.batch_refs: references entering the batched path
 
 	// Profiler instruments (core).

@@ -1,11 +1,11 @@
-// Differential tests for the pooled batched engine: the zero-allocation
-// rework (hotbuf-leased batch buffers, caller-provided counter arenas)
-// must not change a single counter. Three engines run every
-// configuration — the scalar per-reference oracle, the pooled batched
-// engine in one continuous Run, and the pooled batched engine split
-// across continuation legs so buffers are leased, returned, and reused
-// across Run calls — and all three must agree on machine state, ground
-// truth, and sampler counters, down to byte-identical checkpoints.
+// Differential tests for the zero-allocation batched engine: its
+// allocation-free paths (line-at-a-time strided ranges, caller-provided
+// counter arenas) must not change a single counter. Three engines run
+// every configuration — the scalar per-reference oracle, the batched
+// engine in one continuous Run, and the batched engine split across
+// continuation legs so its reused state carries across Run calls — and
+// all three must agree on machine state, ground truth, and sampler
+// counters, down to byte-identical checkpoints.
 package membottle_test
 
 import (
@@ -38,8 +38,8 @@ func runEngine(t *testing.T, app, mode string, sampled bool) (*membottle.System,
 		}
 	}
 	if mode == "split" {
-		// Continuation legs: the batch pool leases during the first leg
-		// are returned and reused during the later ones.
+		// Continuation legs: the later legs resume from the state the
+		// first one leaves (workload cursors, cache, PMU).
 		sys.Run(diffBudget / 4)
 		sys.Run(diffBudget / 2)
 	}
