@@ -9,9 +9,10 @@ import (
 
 // TestAllocGate pins the cache engine's steady-state allocation budget
 // at zero: the scalar path, the batched and same-line-run paths, the
-// shard partition replay paths, and the reused-snapshot path must not
-// allocate per call. The working set is twice the cache, so every op
-// sees a steady mix of hits, misses, and fills.
+// offline sweeps the shard and interval engines replay through, and the
+// reused-snapshot path must not allocate per call. The working set is
+// twice the cache, so every op sees a steady mix of hits, misses, and
+// fills.
 func TestAllocGate(t *testing.T) {
 	cfg := DefaultConfig()
 	line := uint64(cfg.LineSize)
@@ -35,17 +36,8 @@ func TestAllocGate(t *testing.T) {
 		runEntries = append(runEntries, mem.PackRun(mem.Addr(uint64(i)*5*line%span), 1+i%7))
 	}
 
-	part, err := NewPartition(cfg, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	partRuns, err := NewPartition(cfg, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	missIdx := make([]uint32, 0, len(packed))
 	var snap State
-	var psnap State
 
 	alloctest.Gate(t, []alloctest.Case{
 		{Name: "cache.Access", Op: func() {
@@ -71,18 +63,11 @@ func TestAllocGate(t *testing.T) {
 		}},
 		{Name: "cache.StateInto/reused", Warmup: func() { c.StateInto(&snap) },
 			Op: func() { c.StateInto(&snap) }},
-		{Name: "cache.Partition.Access", Op: func() {
-			for i := range refs {
-				part.Access(refs[i].Addr, refs[i].Write)
-			}
+		{Name: "cache.Sweep", Op: func() {
+			missIdx = c.Sweep(packed, missIdx[:0])
 		}},
-		{Name: "cache.Partition.Sweep", Op: func() {
-			missIdx = part.Sweep(packed, missIdx[:0])
+		{Name: "cache.SweepRuns", Op: func() {
+			missIdx = c.SweepRuns(runEntries, missIdx[:0])
 		}},
-		{Name: "cache.Partition.SweepRuns", Op: func() {
-			missIdx = partRuns.SweepRuns(runEntries, missIdx[:0])
-		}},
-		{Name: "cache.Partition.StateInto/reused", Warmup: func() { part.StateInto(&psnap) },
-			Op: func() { part.StateInto(&psnap) }},
 	})
 }

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"membottle/internal/mem"
@@ -119,30 +121,207 @@ func genAddr(rng *rand.Rand) mem.Addr {
 	}
 }
 
+// setOf is the set index of address a, computed with division rather
+// than the cache's shift and mask.
+func setOf(cfg Config, a mem.Addr) uint64 {
+	return uint64(a) / uint64(cfg.LineSize) % uint64(cfg.Size/cfg.LineSize/cfg.Assoc)
+}
+
+// newShards builds the shards partitions of cfg.
+func newShards(t testing.TB, cfg Config, shards int) []*Cache {
+	t.Helper()
+	parts := make([]*Cache, shards)
+	for s := range parts {
+		p, err := NewPartition(cfg, s, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[s] = p
+	}
+	return parts
+}
+
+// sumStats merges the partitions' statistics.
+func sumStats(parts []*Cache) Stats {
+	var st Stats
+	for _, p := range parts {
+		st.Reads += p.Stats.Reads
+		st.Writes += p.Stats.Writes
+		st.Hits += p.Stats.Hits
+		st.Misses += p.Stats.Misses
+	}
+	return st
+}
+
+// checkImage asserts that every set holds the same lines in the same
+// ways in its partition as in want, the cache the stream ran through
+// with Access. Stamps are not compared: a partition's clock counts only
+// its own probes.
+func checkImage(t testing.TB, want *Cache, parts []*Cache) {
+	t.Helper()
+	ws := want.State().Ways
+	assoc := want.Config().Assoc
+	states := make([][]WayState, len(parts))
+	for s, p := range parts {
+		states[s] = p.State().Ways
+	}
+	for i, w := range ws {
+		g := states[i/assoc%len(parts)][i]
+		if (g.Stamp != 0) != (w.Stamp != 0) || w.Stamp != 0 && g.Tag != w.Tag {
+			t.Fatalf("%d shards: way %d holds (tag %#x, stamp %d), Access leaves (tag %#x, stamp %d)",
+				len(parts), i, g.Tag, g.Stamp, w.Tag, w.Stamp)
+		}
+	}
+}
+
+// sweepShards routes stream by set mod shards into the partitions and
+// replays each shard's subsequence in mem.PackRef form through Sweep,
+// chunk references at a time. It returns one verdict per reference
+// (true = miss).
+func sweepShards(parts []*Cache, cfg Config, chunk int, stream []mem.Ref) []bool {
+	shards := uint64(len(parts))
+	packed := make([][]uint64, shards)
+	index := make([][]int, shards)
+	for i, r := range stream {
+		s := setOf(cfg, r.Addr) % shards
+		packed[s] = append(packed[s], mem.PackRef(r.Addr, r.Write))
+		index[s] = append(index[s], i)
+	}
+	verdicts := make([]bool, len(stream))
+	var missIdx []uint32
+	for s, p := range parts {
+		for lo := 0; lo < len(packed[s]); lo += chunk {
+			hi := min(lo+chunk, len(packed[s]))
+			missIdx = p.Sweep(packed[s][lo:hi], missIdx[:0])
+			for _, j := range missIdx {
+				verdicts[index[s][lo+int(j)]] = true
+			}
+		}
+	}
+	return verdicts
+}
+
+// run is one maximal run of consecutive same-line references in a
+// stream, split at mem.MaxRunLen: the run-compacted form one mem.PackRun
+// entry carries.
+type run struct{ first, n int }
+
+// compactRuns splits stream into its runs.
+func compactRuns(cfg Config, stream []mem.Ref) []run {
+	var runs []run
+	line := func(i int) uint64 { return uint64(stream[i].Addr) / uint64(cfg.LineSize) }
+	for i := 0; i < len(stream); {
+		n := 1
+		for i+n < len(stream) && n < mem.MaxRunLen && line(i+n) == line(i) {
+			n++
+		}
+		runs = append(runs, run{i, n})
+		i += n
+	}
+	return runs
+}
+
+// sweepRunShards routes the runs by set mod shards into the partitions
+// and replays each shard's entries through SweepRuns, chunk entries at a
+// time. It returns one verdict per run (true = its entry missed).
+func sweepRunShards(parts []*Cache, cfg Config, chunk int, stream []mem.Ref, runs []run) []bool {
+	shards := uint64(len(parts))
+	entries := make([][]uint64, shards)
+	index := make([][]int, shards)
+	for k, r := range runs {
+		a := stream[r.first].Addr
+		s := setOf(cfg, a) % shards
+		entries[s] = append(entries[s], mem.PackRun(a, r.n))
+		index[s] = append(index[s], k)
+	}
+	verdicts := make([]bool, len(runs))
+	var missIdx []uint32
+	for s, p := range parts {
+		for lo := 0; lo < len(entries[s]); lo += chunk {
+			hi := min(lo+chunk, len(entries[s]))
+			missIdx = p.SweepRuns(entries[s][lo:hi], missIdx[:0])
+			for _, j := range missIdx {
+				verdicts[index[s][lo+int(j)]] = true
+			}
+		}
+	}
+	return verdicts
+}
+
+// checkRunVerdicts asserts that each run's entry verdict is its first
+// reference's verdict in want and that no later reference of a run
+// misses in want, the property that makes run compaction exact.
+func checkRunVerdicts(t testing.TB, want []bool, runs []run, got []bool) {
+	t.Helper()
+	for k, r := range runs {
+		if got[k] != want[r.first] {
+			t.Fatalf("run at reference %d (length %d): entry miss=%v, reference says miss=%v",
+				r.first, r.n, got[k], want[r.first])
+		}
+		for j := r.first + 1; j < r.first+r.n; j++ {
+			if want[j] {
+				t.Fatalf("reference %d misses inside the run starting at %d", j, r.first)
+			}
+		}
+	}
+}
+
+// genStream draws n references from genAddr. A quarter of the draws
+// start a short 8-byte-stride burst, and a rare one repeats one address
+// past mem.MaxRunLen, so the stream holds same-line runs of every length
+// for the run-compacted sweep, including runs that must split.
+func genStream(rng *rand.Rand, n int) []mem.Ref {
+	stream := make([]mem.Ref, 0, n)
+	for len(stream) < n {
+		a, write := genAddr(rng), rng.Intn(3) == 0
+		burst, stride := 1, mem.Addr(8)
+		switch {
+		case rng.Intn(2048) == 0:
+			burst, stride = mem.MaxRunLen+1+rng.Intn(64), 0
+		case rng.Intn(4) == 0:
+			burst = 2 + rng.Intn(15)
+		}
+		for j := 0; j < burst && len(stream) < n; j++ {
+			stream = append(stream, mem.Ref{Addr: a + stride*mem.Addr(j), Write: write})
+		}
+	}
+	return stream
+}
+
 // TestDifferentialScalarBatchedReference drives 1M+ seeded random accesses
 // through the scalar cache, the batched cache, and the naive reference
 // model, asserting identical per-reference hit/miss verdicts and identical
-// final statistics.
+// final statistics, on 1-, 2-, 4- and 8-way geometries. The same stream
+// also runs through the offline sweeps the sharded and interval engines
+// use: routed by set mod shards into 1, 2 and 4 partitions, once per
+// reference through Sweep and once run-compacted through SweepRuns,
+// with per-reference (per-entry for runs) verdicts and merged Hits and
+// Misses equal to the scalar cache's.
 func TestDifferentialScalarBatchedReference(t *testing.T) {
 	const accesses = 1_200_000
-	cfg := Config{Size: 64 << 10, LineSize: 64, Assoc: 4}
+	for _, assoc := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("%d-way", assoc), func(t *testing.T) {
+			differential(t, Config{Size: 64 << 10, LineSize: 64, Assoc: assoc}, accesses)
+		})
+	}
+}
 
+func differential(t *testing.T, cfg Config, accesses int) {
 	rng := rand.New(rand.NewSource(20260806))
 	scalar := New(cfg)
 	batched := New(cfg)
 	model := newRefModel(cfg)
 	driver := &batchDriver{c: batched}
+	stream := genStream(rng, accesses)
 
 	scalarVerdicts := make([]bool, 0, accesses)
 	modelVerdicts := make([]bool, 0, accesses)
 	batchedVerdicts := make([]bool, 0, accesses)
 
-	for i := 0; i < accesses; i++ {
-		a := genAddr(rng)
-		write := rng.Intn(3) == 0
-		scalarVerdicts = append(scalarVerdicts, scalar.Access(a, write))
-		modelVerdicts = append(modelVerdicts, model.access(a, write))
-		driver.access(a, write)
+	for _, r := range stream {
+		scalarVerdicts = append(scalarVerdicts, scalar.Access(r.Addr, r.Write))
+		modelVerdicts = append(modelVerdicts, model.access(r.Addr, r.Write))
+		driver.access(r.Addr, r.Write)
 		// Flush the batch at random points so boundaries land everywhere.
 		if rng.Intn(512) == 0 {
 			batchedVerdicts = driver.drain(batchedVerdicts)
@@ -186,6 +365,43 @@ func TestDifferentialScalarBatchedReference(t *testing.T) {
 	}
 	if scalar.Stats.Misses == 0 || scalar.Stats.Hits == 0 {
 		t.Fatal("degenerate stream: need both hits and misses for a meaningful differential")
+	}
+
+	runs := compactRuns(cfg, stream)
+	if len(runs) == len(stream) {
+		t.Fatal("degenerate stream: no same-line runs for the run-compacted sweep")
+	}
+	for _, shards := range []int{1, 2, 4} {
+		parts := newShards(t, cfg, shards)
+		swept := sweepShards(parts, cfg, 4096, stream)
+		for i := range swept {
+			if swept[i] != scalarVerdicts[i] {
+				t.Fatalf("%d shards: access %d: scalar says miss=%v, Sweep says miss=%v",
+					shards, i, scalarVerdicts[i], swept[i])
+			}
+		}
+		if st := sumStats(parts); st != scalar.Stats {
+			t.Fatalf("%d shards: Sweep stats %+v, scalar %+v", shards, st, scalar.Stats)
+		}
+		checkImage(t, scalar, parts)
+		if shards == 1 && !reflect.DeepEqual(parts[0].State(), scalar.State()) {
+			t.Fatal("1 shard: Sweep leaves a different cache image than Access")
+		}
+		for i := 0; i < 50_000; i++ {
+			a := genAddr(probe)
+			if p := parts[setOf(cfg, a)%uint64(shards)]; p.Probe(a) != scalar.Probe(a) {
+				t.Fatalf("%d shards: probe %#x: scalar resident=%v partition resident=%v",
+					shards, uint64(a), scalar.Probe(a), p.Probe(a))
+			}
+		}
+
+		parts = newShards(t, cfg, shards)
+		checkRunVerdicts(t, scalarVerdicts, runs, sweepRunShards(parts, cfg, 4096, stream, runs))
+		checkImage(t, scalar, parts)
+		st := sumStats(parts)
+		if st.Hits != scalar.Stats.Hits || st.Misses != scalar.Stats.Misses || st.Reads != scalar.Stats.Accesses() {
+			t.Fatalf("%d shards: SweepRuns stats %+v, scalar %+v", shards, st, scalar.Stats)
+		}
 	}
 }
 

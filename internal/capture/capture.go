@@ -36,8 +36,8 @@ var ErrFallback = errors.New("workload needs sequential simulation")
 // Pass is one capture pass: the capture machine, the object map it
 // resolves against, and the precondition state between Setup and Run.
 type Pass struct {
-	// Cache and Costs are the run's configuration with zero values
-	// replaced by cache.DefaultConfig and machine.DefaultCosts.
+	// Cache is the run's cache geometry, cache.DefaultConfig when the
+	// caller's is zero; Costs is always machine.DefaultCosts.
 	Cache   cache.Config
 	Costs   machine.CostModel
 	Machine *machine.Machine
@@ -57,13 +57,11 @@ func (s *setupSink) ConsumeRuns(_ []uint64, refs, _, _ uint64) { s.refs += refs 
 // object map, runs the workload's Setup and synchronizes the globals it
 // defined. engine names the calling engine in fallback errors and in the
 // "<engine>.fallbacks" and "<engine>.runs" obs counters; o may be nil.
-func Setup(engine string, w machine.Workload, cc cache.Config, costs machine.CostModel, o *obs.Obs) (*Pass, error) {
+func Setup(engine string, w machine.Workload, cc cache.Config, o *obs.Obs) (*Pass, error) {
 	if cc == (cache.Config{}) {
 		cc = cache.DefaultConfig()
 	}
-	if costs == (machine.CostModel{}) {
-		costs = machine.DefaultCosts()
-	}
+	costs := machine.DefaultCosts()
 	if err := cc.Validate(); err != nil {
 		return nil, err
 	}

@@ -8,8 +8,9 @@ import (
 // Exported framing helpers: the canonical varint/tagged-section encoding
 // the MBCP1 checkpoint format is built from, reusable by other on-disk
 // formats that want the same discipline (the persistent result store's
-// MBRS1 records). The exported API wraps the package's internal enc/dec
-// so both formats share one implementation of the size-capped,
+// MBRS1 records, and the private state the workloads, the sampler and
+// trace replay checkpoint). The exported API wraps the package's internal
+// enc/dec so every format shares one implementation of the size-capped,
 // never-trust-a-declared-length decode rules.
 
 // Enc accumulates one canonical binary payload: varint integers,
@@ -31,6 +32,14 @@ func (x *Enc) Str(s string) { x.e.str(s) }
 
 // Blob appends a length-prefixed byte slice.
 func (x *Enc) Blob(b []byte) { x.e.blob(b) }
+
+// U64s appends a length-prefixed uvarint sequence.
+func (x *Enc) U64s(vals []uint64) {
+	x.e.u64(uint64(len(vals)))
+	for _, v := range vals {
+		x.e.u64(v)
+	}
+}
 
 // Take returns the accumulated payload and resets the encoder.
 func (x *Enc) Take() []byte { return x.e.take() }
@@ -58,6 +67,16 @@ func (x *Dec) Str() string { return x.d.str() }
 
 // Blob reads one length-prefixed byte slice (copied out of the input).
 func (x *Dec) Blob() []byte { return x.d.blob() }
+
+// U64s reads one sequence written by Enc.U64s, its declared length
+// validated by Count before anything is allocated.
+func (x *Dec) U64s() []uint64 {
+	vals := make([]uint64, x.d.count(1))
+	for i := range vals {
+		vals[i] = x.d.u64()
+	}
+	return vals
+}
 
 // Count reads an element count validated against the bytes actually
 // remaining (each element occupies at least minBytes), so a hostile

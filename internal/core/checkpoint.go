@@ -15,10 +15,11 @@ package core
 // get a typed ErrNotCheckpointable from the system layer instead.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+
+	"membottle/internal/checkpoint"
 )
 
 // errSamplerState tags malformed sampler checkpoint payloads.
@@ -33,19 +34,17 @@ func (s *Sampler) CheckpointState() ([]byte, error) {
 	if !s.installed {
 		return nil, fmt.Errorf("core: sampler not installed")
 	}
-	b := binary.AppendUvarint(nil, s.samples)
-	b = binary.AppendUvarint(b, s.matched)
-	b = binary.AppendUvarint(b, s.interval)
-	b = binary.AppendUvarint(b, uint64(len(s.counts)))
-	for _, c := range s.counts {
-		b = binary.AppendUvarint(b, c)
-	}
-	b = binary.AppendUvarint(b, uint64(len(s.draws)))
+	var e checkpoint.Enc
+	e.U64(s.samples)
+	e.U64(s.matched)
+	e.U64(s.interval)
+	e.U64s(s.counts)
+	e.U64(uint64(len(s.draws)))
 	for _, d := range s.draws {
-		b = binary.AppendUvarint(b, d.arg)
-		b = binary.AppendUvarint(b, d.n)
+		e.U64(d.arg)
+		e.U64(d.n)
 	}
-	return b, nil
+	return e.Take(), nil
 }
 
 // RestoreState implements machine.Checkpointer. The sampler must already
@@ -56,26 +55,22 @@ func (s *Sampler) RestoreState(data []byte) error {
 	if !s.installed {
 		return fmt.Errorf("core: sampler not installed")
 	}
-	d := stateDecoder{b: data}
-	samples := d.u64()
-	matched := d.u64()
-	interval := d.u64()
-	counts := make([]uint64, d.count(1))
-	for i := range counts {
-		counts[i] = d.u64()
-	}
-	nRuns := d.count(2)
-	draws := make([]drawRun, nRuns)
+	d := checkpoint.NewDec(data)
+	samples := d.U64()
+	matched := d.U64()
+	interval := d.U64()
+	counts := d.U64s()
+	draws := make([]drawRun, d.Count(2))
 	var total uint64
 	for i := range draws {
-		draws[i] = drawRun{arg: d.u64(), n: d.u64()}
+		draws[i] = drawRun{arg: d.U64(), n: d.U64()}
 		total += draws[i].n
 	}
-	if d.err != nil {
-		return d.err
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("%w: %w", errSamplerState, err)
 	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", errSamplerState, len(d.b))
+	if n := d.Remaining(); n != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", errSamplerState, n)
 	}
 	if interval == 0 {
 		return fmt.Errorf("%w: zero interval", errSamplerState)
@@ -97,35 +92,4 @@ func (s *Sampler) RestoreState(data []byte) error {
 	s.draws = draws
 	s.rng = rng
 	return nil
-}
-
-// stateDecoder reads a uvarint sequence with latched error handling.
-type stateDecoder struct {
-	b   []byte
-	err error
-}
-
-func (d *stateDecoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, used := binary.Uvarint(d.b)
-	if used <= 0 {
-		d.err = fmt.Errorf("%w: truncated value", errSamplerState)
-		return 0
-	}
-	d.b = d.b[used:]
-	return v
-}
-
-// count reads an element count and validates it against the bytes
-// remaining (each element needs at least minBytes), so a hostile payload
-// cannot force a huge allocation.
-func (d *stateDecoder) count(minBytes int) uint64 {
-	n := d.u64()
-	if d.err == nil && n > uint64(len(d.b)/minBytes) {
-		d.err = fmt.Errorf("%w: count %d exceeds available data", errSamplerState, n)
-		return 0
-	}
-	return n
 }

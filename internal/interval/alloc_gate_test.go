@@ -42,14 +42,7 @@ func TestAllocGate(t *testing.T) {
 		spans = append(spans, sp)
 	}
 
-	newPart := func() *cache.Partition {
-		p, err := cache.NewPartition(cfg, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	w := &repWorker{meas: newPart(), warm: newPart(), res: om.Resolver(), nobj: nobj}
+	w := &repWorker{meas: cache.New(cfg), warm: cache.New(cfg), res: om.Resolver(), nobj: nobj}
 	counts := make([]uint64, nobj)
 	measure := func(warmup Warmup) func() {
 		return func() {

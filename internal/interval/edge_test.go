@@ -47,9 +47,6 @@ func TestNegativeConfigRejected(t *testing.T) {
 	if _, err := interval.Run(nil, w, 1000, interval.Config{IntervalRefs: -1}); err == nil {
 		t.Error("negative IntervalRefs accepted")
 	}
-	if _, err := interval.Run(nil, w, 1000, interval.Config{WarmupRefs: -1}); err == nil {
-		t.Error("negative WarmupRefs accepted")
-	}
 }
 
 // TestSetupRefsFallback: a workload that touches memory during Setup is

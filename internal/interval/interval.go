@@ -48,8 +48,8 @@ type Warmup int
 const (
 	// WarmupPrev functionally warms the representative's cache by
 	// replaying the stream suffix immediately preceding it (see
-	// Config.WarmupRefs) into a scratch partition from cold, then
-	// installing that partition's state (via a reused StateInto snapshot)
+	// DefaultWarmupRefs) into a scratch cache from cold, then
+	// installing that cache's state (via a reused StateInto snapshot)
 	// as the measurement cache's starting image. Interval 0 starts cold,
 	// which is exact. This is the default.
 	WarmupPrev Warmup = iota
@@ -86,8 +86,11 @@ const kmeansIters = 48
 // reference-dense traces.
 const fpSampleTarget = 8192
 
-// DefaultWarmupRefs is the default functional-warmup budget per
-// representative: enough references to repopulate the default cache
+// DefaultWarmupRefs is the functional-warmup budget per representative
+// under WarmupPrev: the preceding stream's run-compacted suffix of
+// DefaultWarmupRefs entries is replayed, covering at least that many
+// references (every run holds one or more) at a probe cost bounded by the
+// same number. That is enough references to repopulate the default cache
 // geometry several times over, so measured miss counts reflect steady
 // state rather than a cold cache, while staying a small multiple of the
 // adaptive interval size.
@@ -97,8 +100,6 @@ const DefaultWarmupRefs = 1 << 15
 type Config struct {
 	// Cache is the simulated cache geometry (DefaultConfig when zero).
 	Cache cache.Config
-	// Costs is the virtual-cycle model (DefaultCosts when zero).
-	Costs machine.CostModel
 	// IntervalRefs is the interval size in references; 0 sizes intervals
 	// adaptively from the captured trace length.
 	IntervalRefs int
@@ -110,12 +111,6 @@ type Config struct {
 	Seed int64
 	// Warmup selects representative cache-warmup handling.
 	Warmup Warmup
-	// WarmupRefs is the functional-warmup budget per representative under
-	// WarmupPrev: the preceding stream's run-compacted suffix of WarmupRefs
-	// entries is replayed, covering at least WarmupRefs references (every
-	// run holds one or more) at a probe cost bounded by the same number.
-	// 0 selects DefaultWarmupRefs.
-	WarmupRefs int
 	// Workers bounds the goroutines simulating representatives; 0 selects
 	// GOMAXPROCS. Results are byte-identical for any worker count.
 	Workers int
@@ -446,11 +441,11 @@ type repMeasure struct {
 }
 
 // repWorker owns the private simulation state for measuring
-// representatives: a measurement partition, a warmup partition, a reused
+// representatives: a measurement cache, a warmup cache, a reused
 // snapshot buffer for the warmup hand-off, and a private resolver.
 type repWorker struct {
-	meas    *cache.Partition
-	warm    *cache.Partition
+	meas    *cache.Cache
+	warm    *cache.Cache
 	snap    cache.State
 	res     *objmap.Resolver
 	missIdx []uint32
@@ -481,7 +476,7 @@ func (w *repWorker) measureRep(st *traceStore, spans []Span, rep int, warmup War
 			w.missIdx = w.warm.SweepRuns(chunk, w.missIdx[:0])
 		})
 		out.simRefs += w.warm.Stats.Reads
-		// Hand the warmed image to the measurement partition through the
+		// Hand the warmed image to the measurement cache through the
 		// reused snapshot buffer, zeroing the statistics so the measured
 		// stats describe only the representative interval.
 		w.warm.StateInto(&w.snap)
@@ -532,19 +527,12 @@ func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*R
 	if cfg.IntervalRefs < 0 {
 		return nil, fmt.Errorf("interval: negative interval size %d", cfg.IntervalRefs)
 	}
-	if cfg.WarmupRefs < 0 {
-		return nil, fmt.Errorf("interval: negative warmup budget %d", cfg.WarmupRefs)
-	}
-	warmRefs := uint64(cfg.WarmupRefs)
-	if warmRefs == 0 {
-		warmRefs = DefaultWarmupRefs
-	}
 	k := cfg.Clusters
 	if k <= 0 {
 		k = DefaultClusters
 	}
 
-	p, err := capture.Setup("interval", w, cfg.Cache, cfg.Costs, cfg.Obs)
+	p, err := capture.Setup("interval", w, cfg.Cache, cfg.Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -593,15 +581,7 @@ func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*R
 		}
 		pool := make([]*repWorker, workers)
 		for i := range pool {
-			meas, err := cache.NewPartition(p.Cache, 0, 1)
-			if err != nil {
-				return nil, err
-			}
-			warm, err := cache.NewPartition(p.Cache, 0, 1)
-			if err != nil {
-				return nil, err
-			}
-			pool[i] = &repWorker{meas: meas, warm: warm, res: om.Resolver(), nobj: nobj}
+			pool[i] = &repWorker{meas: cache.New(p.Cache), warm: cache.New(p.Cache), res: om.Resolver(), nobj: nobj}
 		}
 		tasks := make(chan int)
 		var wg sync.WaitGroup
@@ -611,7 +591,7 @@ func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*R
 				defer wg.Done()
 				for c := range tasks {
 					slot := countsArena[c*nobj : (c+1)*nobj : (c+1)*nobj]
-					measures[c] = wk.measureRep(&snk.store, spans, reps[c], cfg.Warmup, warmRefs, slot)
+					measures[c] = wk.measureRep(&snk.store, spans, reps[c], cfg.Warmup, DefaultWarmupRefs, slot)
 				}
 			}(wk)
 		}

@@ -17,7 +17,7 @@ type Ref struct {
 }
 
 // PackRef compresses a reference to one word for per-reference trace
-// buffers (the form cache.Partition.Sweep replays): the address shifted
+// buffers (the form cache.Cache.Sweep replays): the address shifted
 // left once with the write flag in the low bit.
 // Simulated addresses top out below 2^40 (the shadow segment limit), so
 // the shift never loses bits.

@@ -22,11 +22,11 @@
 // Capture runs on the caller's goroutine and routes each entry into its
 // shard's chunk stream; a chunk is a slice of up to chunkEntries run
 // entries. W shard workers replay their chunks concurrently with
-// cache.Partition.SweepRuns against a private partition and a private
-// objmap.Resolver. Merging the per-shard tallies yields a truth.Counter
-// whose Ranked, Pct and merged cache.Stats equal the sequential engine's
-// byte for byte, for any worker count including one — the differential
-// tests enforce this.
+// cache.Cache.SweepRuns against a private partition (a whole cache fed
+// only its own sets) and a private objmap.Resolver. Merging the
+// per-shard tallies yields a truth.Counter whose Ranked, Pct and merged
+// cache.Stats equal the sequential engine's byte for byte, for any
+// worker count including one — the differential tests enforce this.
 package shard
 
 import (
@@ -48,8 +48,6 @@ import (
 type Config struct {
 	// Cache is the simulated cache geometry (DefaultConfig when zero).
 	Cache cache.Config
-	// Costs is the virtual-cycle model (DefaultCosts when zero).
-	Costs machine.CostModel
 	// Workers is the requested parallelism; the engine rounds it up to a
 	// power of two (the shard count) clamped to the cache's set count.
 	// Zero or negative selects GOMAXPROCS.
@@ -86,9 +84,12 @@ const chunkEntries = 32 << 10
 
 // chunksPerShard bounds in-flight chunks per shard. Together with
 // chunkEntries it caps trace memory at shards * chunksPerShard * 256 KiB
-// regardless of run length: when every chunk is full the capture
-// goroutine blocks until a worker returns one (backpressure), so the
-// engine streams arbitrarily long runs in constant space.
+// (1 MiB per shard) regardless of run length: when every chunk is full
+// the capture goroutine blocks until a worker returns one
+// (backpressure), so the engine streams arbitrarily long runs in
+// constant space. Each worker's partition adds one whole cache's way
+// array (512 KiB at the default geometry), so partition memory is
+// shards times one cache.
 const chunksPerShard = 4
 
 // chunk is one slice of one shard's run-entry subsequence.
@@ -160,7 +161,7 @@ func (s *sink) finish() {
 // partition and resolves each miss against a private object-map
 // snapshot, tallying truth.Partial counts.
 type worker struct {
-	part    *cache.Partition
+	part    *cache.Cache
 	res     *objmap.Resolver
 	ch      chan *chunk
 	pool    chan *chunk
@@ -220,7 +221,7 @@ func shardCount(req, sets int) int {
 // sequential engine instead); context cancellation surfaces as the
 // capture machine's CancelledError.
 func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*Result, error) {
-	p, err := capture.Setup("shard", w, cfg.Cache, cfg.Costs, cfg.Obs)
+	p, err := capture.Setup("shard", w, cfg.Cache, cfg.Obs)
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,7 @@ func (c *entryCollect) ConsumeRuns(entries []uint64, refs, _, _ uint64) {
 
 // TestCaptureReplayWithStateIntoReuse covers the interaction the
 // representative-interval engine's warmup hand-off depends on: a stream
-// captured in machine capture mode, replayed through a cache.Partition
+// captured in machine capture mode, replayed through a cache partition
 // in two halves with the warmed image carried across by a checkpoint
 // StateInto snapshot whose buffer is reused — must reproduce the
 // sharded ground-truth engine's hit/miss outcomes exactly, and the

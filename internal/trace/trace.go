@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 
+	"membottle/internal/checkpoint"
 	"membottle/internal/machine"
 	"membottle/internal/mem"
 )
@@ -383,20 +384,17 @@ func (r *Replay) ReplayOnce(m *machine.Machine) {
 // CheckpointState implements machine.Checkpointer: a replay's private
 // state is just its stream position.
 func (r *Replay) CheckpointState() ([]byte, error) {
-	var b []byte
-	b = binary.AppendUvarint(b, uint64(r.pos))
-	b = binary.AppendUvarint(b, uint64(r.nextBk))
-	return b, nil
+	var e checkpoint.Enc
+	e.U64(uint64(r.pos))
+	e.U64(uint64(r.nextBk))
+	return e.Take(), nil
 }
 
 // RestoreState implements machine.Checkpointer.
 func (r *Replay) RestoreState(data []byte) error {
-	pos, n := binary.Uvarint(data)
-	if n <= 0 {
-		return fmt.Errorf("%w: replay state", ErrCorrupt)
-	}
-	nextBk, n2 := binary.Uvarint(data[n:])
-	if n2 <= 0 || n+n2 != len(data) {
+	d := checkpoint.NewDec(data)
+	pos, nextBk := d.U64(), d.U64()
+	if d.Err() != nil || d.Remaining() != 0 {
 		return fmt.Errorf("%w: replay state", ErrCorrupt)
 	}
 	if pos > uint64(len(r.refs)) || nextBk > uint64(len(r.breaks)) {

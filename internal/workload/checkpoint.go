@@ -4,66 +4,47 @@ package workload
 // machine.Checkpointer so a supervised run can be snapshotted at a Step
 // boundary and resumed byte-identically. Workload private state is a
 // handful of sweep cursors, phase positions, and PRNG words; it is
-// flattened to a []uint64 and encoded as a uvarint sequence. Transient
-// per-Step batch buffers are always empty at Step boundaries and are not
-// part of the state.
+// flattened to a []uint64 and encoded as one checkpoint.Enc uvarint
+// sequence. Transient per-Step batch buffers are always empty at Step
+// boundaries and are not part of the state.
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"membottle/internal/checkpoint"
 )
 
-// encodeU64s serializes values as a length-prefixed uvarint sequence.
-func encodeU64s(vals []uint64) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(vals)))
-	for _, v := range vals {
-		b = binary.AppendUvarint(b, v)
-	}
-	return b
+// encodeState serializes a workload's flattened state.
+func encodeState(vals []uint64) []byte {
+	var e checkpoint.Enc
+	e.U64s(vals)
+	return e.Take()
 }
 
-// decodeU64s reverses encodeU64s, validating the declared count against
-// the bytes present before allocating.
-func decodeU64s(data []byte) ([]uint64, error) {
-	n, used := binary.Uvarint(data)
-	if used <= 0 {
-		return nil, fmt.Errorf("workload: truncated state count")
+// decodeState reverses encodeState, requiring exactly n values.
+func decodeState(data []byte, n int, who string) ([]uint64, error) {
+	d := checkpoint.NewDec(data)
+	vals := d.U64s()
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("workload: %s state: %w", who, err)
 	}
-	data = data[used:]
-	if n > uint64(len(data)) { // each value needs at least one byte
-		return nil, fmt.Errorf("workload: state count %d exceeds available data", n)
+	if r := d.Remaining(); r != 0 {
+		return nil, fmt.Errorf("workload: %s state has %d trailing bytes", who, r)
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		v, used := binary.Uvarint(data)
-		if used <= 0 {
-			return nil, fmt.Errorf("workload: truncated state value %d", i)
-		}
-		out[i] = v
-		data = data[used:]
-	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("workload: %d trailing state bytes", len(data))
-	}
-	return out, nil
-}
-
-// expect validates a decoded state's length.
-func expect(vals []uint64, n int, who string) error {
 	if len(vals) != n {
-		return fmt.Errorf("workload: %s state has %d values, want %d", who, len(vals), n)
+		return nil, fmt.Errorf("workload: %s state has %d values, want %d", who, len(vals), n)
 	}
-	return nil
+	return vals, nil
 }
 
 // --- single-schedule workloads -------------------------------------------
 
 // CheckpointState implements machine.Checkpointer.
-func (w *Tomcatv) CheckpointState() ([]byte, error) { return encodeU64s(w.sched.state()), nil }
+func (w *Tomcatv) CheckpointState() ([]byte, error) { return encodeState(w.sched.state()), nil }
 
 // RestoreState implements machine.Checkpointer.
 func (w *Tomcatv) RestoreState(data []byte) error {
-	vals, err := decodeU64s(data)
+	vals, err := decodeState(data, w.sched.stateLen(), "tomcatv")
 	if err != nil {
 		return err
 	}
@@ -71,11 +52,11 @@ func (w *Tomcatv) RestoreState(data []byte) error {
 }
 
 // CheckpointState implements machine.Checkpointer.
-func (w *Swim) CheckpointState() ([]byte, error) { return encodeU64s(w.sched.state()), nil }
+func (w *Swim) CheckpointState() ([]byte, error) { return encodeState(w.sched.state()), nil }
 
 // RestoreState implements machine.Checkpointer.
 func (w *Swim) RestoreState(data []byte) error {
-	vals, err := decodeU64s(data)
+	vals, err := decodeState(data, w.sched.stateLen(), "swim")
 	if err != nil {
 		return err
 	}
@@ -83,11 +64,11 @@ func (w *Swim) RestoreState(data []byte) error {
 }
 
 // CheckpointState implements machine.Checkpointer.
-func (w *Mgrid) CheckpointState() ([]byte, error) { return encodeU64s(w.sched.state()), nil }
+func (w *Mgrid) CheckpointState() ([]byte, error) { return encodeState(w.sched.state()), nil }
 
 // RestoreState implements machine.Checkpointer.
 func (w *Mgrid) RestoreState(data []byte) error {
-	vals, err := decodeU64s(data)
+	vals, err := decodeState(data, w.sched.stateLen(), "mgrid")
 	if err != nil {
 		return err
 	}
@@ -95,11 +76,11 @@ func (w *Mgrid) RestoreState(data []byte) error {
 }
 
 // CheckpointState implements machine.Checkpointer.
-func (w *Figure2) CheckpointState() ([]byte, error) { return encodeU64s(w.sched.state()), nil }
+func (w *Figure2) CheckpointState() ([]byte, error) { return encodeState(w.sched.state()), nil }
 
 // RestoreState implements machine.Checkpointer.
 func (w *Figure2) RestoreState(data []byte) error {
-	vals, err := decodeU64s(data)
+	vals, err := decodeState(data, w.sched.stateLen(), "figure2")
 	if err != nil {
 		return err
 	}
@@ -107,11 +88,11 @@ func (w *Figure2) RestoreState(data []byte) error {
 }
 
 // CheckpointState implements machine.Checkpointer.
-func (w *Art) CheckpointState() ([]byte, error) { return encodeU64s(w.sched.state()), nil }
+func (w *Art) CheckpointState() ([]byte, error) { return encodeState(w.sched.state()), nil }
 
 // RestoreState implements machine.Checkpointer.
 func (w *Art) RestoreState(data []byte) error {
-	vals, err := decodeU64s(data)
+	vals, err := decodeState(data, w.sched.stateLen(), "art")
 	if err != nil {
 		return err
 	}
@@ -124,17 +105,14 @@ func (w *Art) RestoreState(data []byte) error {
 func (w *Applu) CheckpointState() ([]byte, error) {
 	vals := append(w.phaseX.state(), w.phaseY.state()...)
 	vals = append(vals, uint64(w.pos))
-	return encodeU64s(vals), nil
+	return encodeState(vals), nil
 }
 
 // RestoreState implements machine.Checkpointer.
 func (w *Applu) RestoreState(data []byte) error {
-	vals, err := decodeU64s(data)
-	if err != nil {
-		return err
-	}
 	nx, ny := w.phaseX.stateLen(), w.phaseY.stateLen()
-	if err := expect(vals, nx+ny+1, "applu"); err != nil {
+	vals, err := decodeState(data, nx+ny+1, "applu")
+	if err != nil {
 		return err
 	}
 	if err := w.phaseX.setState(vals[:nx]); err != nil {
@@ -154,17 +132,14 @@ func (w *Applu) RestoreState(data []byte) error {
 func (w *Su2cor) CheckpointState() ([]byte, error) {
 	vals := append(w.phaseA.state(), w.phaseB.state()...)
 	vals = append(vals, uint64(w.pos))
-	return encodeU64s(vals), nil
+	return encodeState(vals), nil
 }
 
 // RestoreState implements machine.Checkpointer.
 func (w *Su2cor) RestoreState(data []byte) error {
-	vals, err := decodeU64s(data)
-	if err != nil {
-		return err
-	}
 	na, nb := w.phaseA.stateLen(), w.phaseB.stateLen()
-	if err := expect(vals, na+nb+1, "su2cor"); err != nil {
+	vals, err := decodeState(data, na+nb+1, "su2cor")
+	if err != nil {
 		return err
 	}
 	if err := w.phaseA.setState(vals[:na]); err != nil {
@@ -185,16 +160,13 @@ func (w *Su2cor) RestoreState(data []byte) error {
 // CheckpointState implements machine.Checkpointer. The per-Step batch
 // buffer is always empty between Steps and is not captured.
 func (w *Compress) CheckpointState() ([]byte, error) {
-	return encodeU64s([]uint64{w.inPos, w.outPos, w.dictEntries, w.rng.s}), nil
+	return encodeState([]uint64{w.inPos, w.outPos, w.dictEntries, w.rng.s}), nil
 }
 
 // RestoreState implements machine.Checkpointer.
 func (w *Compress) RestoreState(data []byte) error {
-	vals, err := decodeU64s(data)
+	vals, err := decodeState(data, 4, "compress")
 	if err != nil {
-		return err
-	}
-	if err := expect(vals, 4, "compress"); err != nil {
 		return err
 	}
 	w.inPos, w.outPos, w.dictEntries, w.rng.s = vals[0], vals[1], vals[2], vals[3]
@@ -203,16 +175,13 @@ func (w *Compress) RestoreState(data []byte) error {
 
 // CheckpointState implements machine.Checkpointer.
 func (w *Ijpeg) CheckpointState() ([]byte, error) {
-	return encodeU64s([]uint64{w.inPos, w.outPos, w.wsPos, uint64(w.linesSinceWorkspaceTouch)}), nil
+	return encodeState([]uint64{w.inPos, w.outPos, w.wsPos, uint64(w.linesSinceWorkspaceTouch)}), nil
 }
 
 // RestoreState implements machine.Checkpointer.
 func (w *Ijpeg) RestoreState(data []byte) error {
-	vals, err := decodeU64s(data)
+	vals, err := decodeState(data, 4, "ijpeg")
 	if err != nil {
-		return err
-	}
-	if err := expect(vals, 4, "ijpeg"); err != nil {
 		return err
 	}
 	w.inPos, w.outPos, w.wsPos = vals[0], vals[1], vals[2]
@@ -222,16 +191,13 @@ func (w *Ijpeg) RestoreState(data []byte) error {
 
 // CheckpointState implements machine.Checkpointer.
 func (w *Mcf) CheckpointState() ([]byte, error) {
-	return encodeU64s([]uint64{w.cursor}), nil
+	return encodeState([]uint64{w.cursor}), nil
 }
 
 // RestoreState implements machine.Checkpointer.
 func (w *Mcf) RestoreState(data []byte) error {
-	vals, err := decodeU64s(data)
+	vals, err := decodeState(data, 1, "mcf")
 	if err != nil {
-		return err
-	}
-	if err := expect(vals, 1, "mcf"); err != nil {
 		return err
 	}
 	w.cursor = vals[0]
@@ -240,16 +206,13 @@ func (w *Mcf) RestoreState(data []byte) error {
 
 // CheckpointState implements machine.Checkpointer.
 func (w *Equake) CheckpointState() ([]byte, error) {
-	return encodeU64s([]uint64{w.pos}), nil
+	return encodeState([]uint64{w.pos}), nil
 }
 
 // RestoreState implements machine.Checkpointer.
 func (w *Equake) RestoreState(data []byte) error {
-	vals, err := decodeU64s(data)
+	vals, err := decodeState(data, 1, "equake")
 	if err != nil {
-		return err
-	}
-	if err := expect(vals, 1, "equake"); err != nil {
 		return err
 	}
 	w.pos = vals[0]
