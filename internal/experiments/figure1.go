@@ -27,7 +27,7 @@ type Figure1Result struct {
 func Figure1(opt Options) (Figure1Result, error) {
 	opt = opt.withDefaults()
 	const app = "figure2"
-	sys := newSystem(opt)
+	sys := newSystem(opt, true)
 	if err := sys.LoadWorkloadByName(app); err != nil {
 		return Figure1Result{}, err
 	}

@@ -22,7 +22,7 @@ type Figure5Result struct {
 // periodically drop to zero while rsd spikes.
 func Figure5(opt Options) (Figure5Result, error) {
 	opt = opt.withDefaults()
-	sys := newSystem(opt)
+	sys := newSystem(opt, true)
 	if err := sys.LoadWorkloadByName("applu"); err != nil {
 		return Figure5Result{}, err
 	}

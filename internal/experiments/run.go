@@ -15,12 +15,15 @@ import (
 
 // newSystem builds a simulated system honouring the run options: the
 // scalar-vs-batched engine selection, the invariant sanitizer, and
-// fault injection (re-salted by the current retry attempt).
-func newSystem(opt Options) *membottle.System {
+// fault injection (re-salted by the current retry attempt). withTruth
+// attaches ground-truth accounting; the sanitizer cross-checks against
+// it, so a sanitized system always carries it.
+func newSystem(opt Options, withTruth bool) *membottle.System {
 	cfg := membottle.DefaultConfig()
 	cfg.Cache = opt.geometry()
 	cfg.ScalarRefs = opt.Scalar
 	cfg.Sanitize = opt.Sanitize
+	cfg.SkipTruth = !withTruth && !opt.Sanitize
 	if opt.Faults != nil {
 		fc := opt.Faults.WithSeed(opt.attempt)
 		cfg.Faults = &fc
@@ -106,7 +109,7 @@ func runPlainUncached(opt Options, app string, budget uint64) (*truth.Counter, m
 			return tc, ov, err
 		}
 	}
-	sys := newSystem(opt)
+	sys := newSystem(opt, true)
 	if err := sys.LoadWorkloadByName(app); err != nil {
 		return nil, membottle.Overhead{}, err
 	}
@@ -145,15 +148,9 @@ func runCaptured(opt Options, app string, budget uint64) (*truth.Counter, membot
 
 // runSampler executes a workload under the sampling profiler.
 func runSampler(opt Options, app string, budget uint64, cfg core.SamplerConfig) (*core.Sampler, *membottle.System, error) {
-	sys := newSystem(opt)
-	if err := sys.LoadWorkloadByName(app); err != nil {
-		return nil, nil, err
-	}
 	s := core.NewSampler(cfg)
-	if err := sys.Attach(s); err != nil {
-		return nil, nil, err
-	}
-	if err := superviseRun(opt, sys, app, budget); err != nil {
+	sys, err := runProfiled(opt, app, budget, s, false)
+	if err != nil {
 		return nil, nil, err
 	}
 	return s, sys, nil
@@ -161,18 +158,30 @@ func runSampler(opt Options, app string, budget uint64, cfg core.SamplerConfig) 
 
 // runSearch executes a workload under the n-way search profiler.
 func runSearch(opt Options, app string, budget uint64, cfg core.SearchConfig) (*core.Search, *membottle.System, error) {
-	sys := newSystem(opt)
-	if err := sys.LoadWorkloadByName(app); err != nil {
-		return nil, nil, err
-	}
 	s := core.NewSearch(cfg)
-	if err := sys.Attach(s); err != nil {
-		return nil, nil, err
-	}
-	if err := superviseRun(opt, sys, app, budget); err != nil {
+	sys, err := runProfiled(opt, app, budget, s, false)
+	if err != nil {
 		return nil, nil, err
 	}
 	return s, sys, nil
+}
+
+// runProfiled executes a workload under profiler p. runSampler and
+// runSearch pass withTruth false: their callers read only the estimates
+// and Overhead, and take the "Actual" column from a plain run, so the
+// profiled system skips the per-miss truth hook unless sanitizing.
+func runProfiled(opt Options, app string, budget uint64, p membottle.Profiler, withTruth bool) (*membottle.System, error) {
+	sys := newSystem(opt, withTruth)
+	if err := sys.LoadWorkloadByName(app); err != nil {
+		return nil, err
+	}
+	if err := sys.Attach(p); err != nil {
+		return nil, err
+	}
+	if err := superviseRun(opt, sys, app, budget); err != nil {
+		return nil, err
+	}
+	return sys, nil
 }
 
 // estPct returns the percentage estimated for the named object, 0 if the

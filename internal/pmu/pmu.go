@@ -9,6 +9,12 @@
 //
 // The PMU is driven by the simulated machine: RecordMiss is called on every
 // cache miss and TickCycles on every advance of the virtual cycle counter.
+// Real base/bounds hardware checks every region in parallel at no cost; the
+// model keeps both calls cheap instead. RecordMiss scans only the enabled
+// region counters, through an index that every mutator of a counter's
+// Enabled flag rebuilds, and TickCycles compares against one cached cycle
+// count (the next timer deadline or timeshare rotation) before doing any
+// work.
 package pmu
 
 import (
@@ -59,7 +65,9 @@ type FaultHook interface {
 	// deadline that far into the future.
 	Timer() (drop bool, delayCycles uint64)
 	// CorruptCounters runs after every recorded miss and may mutate the
-	// region counters in place (zero or saturate a count).
+	// region counters' counts in place (zero or saturate a count). It
+	// must not change Enabled, Base or Bound: programming goes through
+	// SetRegion and DisableCounter, which keep the enabled index.
 	CorruptCounters(cs []Counter)
 }
 
@@ -80,6 +88,20 @@ func (c *Counter) Matches(a mem.Addr) bool {
 // PMU is the performance-monitor state for one simulated processor.
 type PMU struct {
 	counters []Counter
+
+	// enabled holds the indices of the enabled region counters in
+	// ascending order; RecordMiss scans only these. New, SetRegion,
+	// DisableCounter, DisableAllCounters, SetState and Reset rebuild it
+	// in place (its capacity is the counter count, so it never grows).
+	enabled []int
+
+	// nextEv is the earliest cycle count at which TickCycles has any
+	// effect: the armed timer deadline or the next timeshare rotation,
+	// whichever comes first, and noEvent when neither is set. SetTimer,
+	// EnableTimesharing, SetState, Reset and the slow tick path (timer
+	// fire, fault delay, rotation) recompute it. A zero value is merely
+	// conservative: the next tick takes the slow path and recomputes it.
+	nextEv uint64
 
 	// GlobalMisses counts every cache miss regardless of address — the
 	// "additional cache miss counter ... for the entire address space".
@@ -115,31 +137,55 @@ type PMU struct {
 // New returns a PMU with n region counters (plus the implicit global
 // counter). n may be zero for sampling-only use.
 func New(n int) *PMU {
-	return &PMU{counters: make([]Counter, n)}
+	return &PMU{counters: make([]Counter, n), enabled: make([]int, 0, n), nextEv: noEvent}
 }
+
+// noEvent is nextEv's value when no cycle event is armed.
+const noEvent = ^uint64(0)
 
 // NumCounters returns the number of region counters.
 func (p *PMU) NumCounters() int { return len(p.counters) }
-
-// Counter returns a pointer to region counter i for programming.
-func (p *PMU) Counter(i int) *Counter { return &p.counters[i] }
 
 // SetRegion programs counter i to count misses in [base, bound) and resets
 // its count.
 func (p *PMU) SetRegion(i int, base, bound mem.Addr) {
 	p.counters[i] = Counter{Base: base, Bound: bound, Enabled: true}
+	p.reindex()
 }
 
 // DisableCounter turns region counter i off and resets its count.
 func (p *PMU) DisableCounter(i int) {
 	p.counters[i] = Counter{}
+	p.reindex()
 }
 
 // DisableAllCounters turns every region counter off.
 func (p *PMU) DisableAllCounters() {
+	clear(p.counters)
+	p.enabled = p.enabled[:0]
+}
+
+// reindex rebuilds the enabled-counter index from the counters' Enabled
+// flags, reusing its backing array.
+func (p *PMU) reindex() {
+	p.enabled = p.enabled[:0]
 	for i := range p.counters {
-		p.counters[i] = Counter{}
+		if p.counters[i].Enabled {
+			p.enabled = append(p.enabled, i)
+		}
 	}
+}
+
+// schedule recomputes nextEv from the timer and timeshare state.
+func (p *PMU) schedule() {
+	ev := noEvent
+	if p.timerArmed {
+		ev = p.timerDeadline
+	}
+	if p.mux != nil && p.mux.rotateAt < ev {
+		ev = p.mux.rotateAt
+	}
+	p.nextEv = ev
 }
 
 // ReadCounter returns the current count of region counter i, corrected for
@@ -173,6 +219,7 @@ func (p *PMU) RearmMissInterrupt(every uint64) {
 func (p *PMU) SetTimer(deadline uint64) {
 	p.timerDeadline = deadline
 	p.timerArmed = deadline != 0
+	p.schedule()
 }
 
 // RecordMiss is called by the machine on every cache miss. It updates the
@@ -184,9 +231,9 @@ func (p *PMU) RecordMiss(a mem.Addr) {
 	if p.mux != nil {
 		p.mux.recordMiss(a)
 	} else {
-		for i := range p.counters {
-			if p.counters[i].Matches(a) {
-				p.counters[i].Count++
+		for _, i := range p.enabled {
+			if c := &p.counters[i]; a >= c.Base && a < c.Bound {
+				c.Count++
 			}
 		}
 	}
@@ -212,14 +259,26 @@ func (p *PMU) RecordMiss(a mem.Addr) {
 
 // TickCycles is called by the machine whenever the virtual cycle counter
 // advances. It may mark a timer interrupt pending and drives counter
-// multiplexing when timesharing is enabled.
+// multiplexing when timesharing is enabled. Below the cached next event
+// it is a single compare, small enough to inline into the machine's
+// loops.
 func (p *PMU) TickCycles(cycles uint64) {
+	if cycles >= p.nextEv {
+		p.tick(cycles)
+	}
+}
+
+// tick is TickCycles' slow path, taken once the cycle count reaches
+// nextEv: it resolves the timer and the timeshare rotation, then
+// recomputes nextEv.
+func (p *PMU) tick(cycles uint64) {
 	if p.timerArmed && cycles >= p.timerDeadline {
 		p.timerFire(cycles)
 	}
 	if p.mux != nil {
 		p.mux.tick(cycles)
 	}
+	p.schedule()
 }
 
 // timerFire resolves a reached timer deadline: normally it marks the
@@ -244,16 +303,11 @@ func (p *PMU) timerFire(cycles uint64) {
 // timeshare rotation — and whether any such event is armed. The batched
 // machine engine uses it to bound hit fast-path runs so that skipping
 // per-reference TickCycles calls (which are no-ops strictly before the
-// returned cycle count) cannot change simulated behaviour.
+// returned cycle count) cannot change simulated behaviour. It returns the
+// cached nextEv; a deadline at the clock's last value reads as unarmed,
+// which no run reaches.
 func (p *PMU) NextCycleEvent() (uint64, bool) {
-	ev, ok := uint64(0), false
-	if p.timerArmed {
-		ev, ok = p.timerDeadline, true
-	}
-	if p.mux != nil && (!ok || p.mux.rotateAt < ev) {
-		ev, ok = p.mux.rotateAt, true
-	}
-	return ev, ok
+	return p.nextEv, p.nextEv != noEvent
 }
 
 // Pending returns the highest-priority pending interrupt and clears it.
@@ -278,9 +332,9 @@ func (p *PMU) HasPending() bool { return p.pendingTimer || p.pendingMiss }
 
 // Reset clears all counters, interrupts, and statistics.
 func (p *PMU) Reset() {
-	n := len(p.counters)
-	mux := p.mux
-	*p = PMU{counters: make([]Counter, n)}
+	counters, mux := p.counters, p.mux
+	clear(counters)
+	*p = PMU{counters: counters, enabled: p.enabled[:0], nextEv: noEvent}
 	if mux != nil {
 		p.EnableTimesharing(mux.phys, mux.quantum)
 	}
@@ -297,6 +351,7 @@ func (p *PMU) Reset() {
 // each region was actually monitored. This trades accuracy for hardware,
 // which the ablation benchmarks quantify.
 func (p *PMU) EnableTimesharing(phys int, quantum uint64) {
+	defer p.schedule()
 	if phys <= 0 || phys >= len(p.counters) || quantum == 0 {
 		p.mux = nil
 		return
@@ -440,7 +495,9 @@ func (p *PMU) SetState(s State) error {
 	if (s.Mux != nil) != (p.mux != nil) {
 		return fmt.Errorf("pmu: snapshot timesharing=%v, PMU timesharing=%v", s.Mux != nil, p.mux != nil)
 	}
+	defer p.schedule()
 	copy(p.counters, s.Counters)
+	p.reindex()
 	p.GlobalMisses = s.GlobalMisses
 	p.LastMissAddr = s.LastMissAddr
 	p.missThreshold = s.MissThreshold

@@ -185,8 +185,11 @@ type Config struct {
 	// conditional counter" alternative).
 	Timeshare        int
 	TimeshareQuantum uint64
-	// TrackTruth attaches exact ground-truth accounting (the "Actual"
-	// column). Enabled by default in NewSystem; set SkipTruth to disable.
+	// SkipTruth disables the exact ground-truth accounting (the "Actual"
+	// column) that NewSystem attaches by default. Truth costs an object
+	// lookup on every miss, so runs whose truth nobody reads set it: the
+	// experiments' sampling and search runs carry no truth unless
+	// sanitizing, since the sanitizer cross-checks against it.
 	SkipTruth bool
 	// ScalarRefs disables the batched reference fast path, forcing every
 	// memory reference through the per-reference scalar loop. Batched and

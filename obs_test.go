@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -158,9 +159,13 @@ func TestObsIntegrationSampler(t *testing.T) {
 
 // measureAlternating times two configurations best-of-reps, alternating
 // within each repetition like cmd/mbbench does, and returns the fastest
-// wall time of each plus their (must-match) reference counts.
-func measureAlternating(t *testing.T, reps int, runA, runB func() uint64) (bestA, bestB time.Duration, refsA, refsB uint64) {
+// wall time of each, the median over repetitions of B's time over A's,
+// and their (must-match) reference counts. The two runs of a repetition
+// go back to back, so a slow spell of a noisy host inflates both sides
+// of its ratio, where it can swing one side's best time alone.
+func measureAlternating(t *testing.T, reps int, runA, runB func() uint64) (bestA, bestB time.Duration, medRatio float64, refsA, refsB uint64) {
 	t.Helper()
+	ratios := make([]float64, 0, reps)
 	for rep := 0; rep < reps; rep++ {
 		runtime.GC()
 		start := time.Now()
@@ -170,6 +175,7 @@ func measureAlternating(t *testing.T, reps int, runA, runB func() uint64) (bestA
 		start = time.Now()
 		rb := runB()
 		db := time.Since(start)
+		ratios = append(ratios, float64(db)/float64(da))
 		if rep == 0 {
 			bestA, bestB, refsA, refsB = da, db, ra, rb
 			continue
@@ -184,7 +190,8 @@ func measureAlternating(t *testing.T, reps int, runA, runB func() uint64) (bestA
 			bestB = db
 		}
 	}
-	return bestA, bestB, refsA, refsB
+	sort.Float64s(ratios)
+	return bestA, bestB, ratios[len(ratios)/2], refsA, refsB
 }
 
 // TestObsOverheadGuard enforces the hot-path budget: with Obs nil the
@@ -200,7 +207,10 @@ func TestObsOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test; skipped in -short")
 	}
-	const app, budget, reps = "mgrid", uint64(4_000_000), 3
+	// The limit applies to the median of 15 back-to-back ratios of runs
+	// of 30-60ms (on a 2-vCPU host). A ratio of best-of-3 times of ~10ms
+	// runs read up to 1.5x on an unchanged tree.
+	const app, budget, reps = "mgrid", uint64(16_000_000), 15
 
 	run := func(o *membottle.Obs) uint64 {
 		cfg := membottle.DefaultConfig()
@@ -215,7 +225,7 @@ func TestObsOverheadGuard(t *testing.T) {
 		return sys.Machine.Cache.Stats.Accesses()
 	}
 
-	offNs, onNs, offRefs, onRefs := measureAlternating(t, reps,
+	offNs, onNs, ratio, offRefs, onRefs := measureAlternating(t, reps,
 		func() uint64 { return run(nil) },
 		func() uint64 { return run(membottle.NewObs(membottle.ObsOptions{})) },
 	)
@@ -230,8 +240,7 @@ func TestObsOverheadGuard(t *testing.T) {
 	if os.Getenv("MB_OVERHEAD_STRICT") == "1" {
 		limit = 1.03
 	}
-	ratio := float64(onNs) / float64(offNs)
-	t.Logf("obs-off %v, obs-on %v, ratio %.3fx (limit %.2fx)", offNs, onNs, ratio, limit)
+	t.Logf("best obs-off %v, obs-on %v; median ratio %.3fx (limit %.2fx)", offNs, onNs, ratio, limit)
 	if ratio > limit {
 		t.Errorf("obs-on run is %.2fx the obs-off run, over the %.2fx limit", ratio, limit)
 	}
@@ -261,7 +270,7 @@ func TestObsOffKeepsBatchedSpeedup(t *testing.T) {
 		return sys.Machine.Cache.Stats.Accesses()
 	}
 
-	scalarNs, batchedNs, scalarRefs, batchedRefs := measureAlternating(t, reps,
+	scalarNs, batchedNs, _, scalarRefs, batchedRefs := measureAlternating(t, reps,
 		func() uint64 { return run(true) },
 		func() uint64 { return run(false) },
 	)
