@@ -8,13 +8,12 @@
 //	mbtables -table 1 -sanitize    cross-check the simulator while running
 //	mbtables -table 1 -faults drop-miss=0.2,seed=7 -retries 2
 //	mbtables -intervals            representative-interval error-bound report
-//	mbtables -table 1 -intervals   serve ground truth from the interval engine
+//	mbtables -table 1 -intervals   Table 1, then the error-bound report
 //
-// With -intervals and no table selected, mbtables prints the
-// differential error-bound report: exact ground truth vs. the
-// representative-interval engine's extrapolation, per app. Combined
-// with a table, plain ground-truth runs come from the (approximate)
-// interval engine instead; -interval-size and -clusters tune it.
+// -intervals prints the differential error-bound report: exact ground
+// truth vs. the representative-interval engine's extrapolation, per app.
+// It follows any table or study that was selected, and shares their
+// exact baseline runs; ground truth in the tables is always exact.
 //
 // Failed application cells (panic, sanitizer violation, unrecovered
 // injected faults) render as annotated gaps; the table is still printed,
@@ -50,9 +49,7 @@ func main() {
 		retries   = flag.Int("retries", 0, "retries for cells that fail due to injected faults")
 		seqTruth  = flag.Bool("seq-truth", false, "force ground-truth runs onto the sequential engine (output is identical; only wall-clock differs)")
 		truthWkr  = flag.Int("truth-workers", 0, "worker count for the sharded ground-truth engine (0: GOMAXPROCS)")
-		intervals = flag.Bool("intervals", false, "representative-interval engine: alone, print the error-bound report; with -table, serve (approximate) ground truth from it")
-		intSize   = flag.Int("interval-size", 0, "interval size in references for -intervals (0: adaptive)")
-		clusters  = flag.Int("clusters", 0, "cluster count (representatives simulated) for -intervals (0: engine default)")
+		intervals = flag.Bool("intervals", false, "print the representative-interval engine's error-bound report (after any selected table)")
 	)
 	obsFlags := obsio.Register(flag.CommandLine)
 	storeFlags := storeio.Register(flag.CommandLine)
@@ -74,9 +71,6 @@ func main() {
 		// read-only).
 		TruthCache:   experiments.NewTruthCache(),
 		TruthWorkers: *truthWkr,
-
-		IntervalRefs:     *intSize,
-		IntervalClusters: *clusters,
 	}
 	if *apps != "" {
 		opt.Apps = strings.Split(*apps, ",")
@@ -98,11 +92,6 @@ func main() {
 		}
 		opt.Faults = fc
 	}
-	// With a table selected, -intervals reroutes its plain ground-truth
-	// runs through the interval engine; alone, it selects the error-bound
-	// report below (which manages the flag per side itself).
-	opt.Intervals = *intervals && (*table != 0 || *resonance)
-
 	emit := func(t *report.Table) {
 		var err error
 		if *csv {
@@ -172,7 +161,7 @@ func main() {
 		ran = true
 	}
 
-	if *intervals && !ran {
+	if *intervals {
 		rs, err := experiments.IntervalErrors(opt)
 		emit(experiments.RenderIntervalErrors(rs))
 		reportCells(err)

@@ -9,14 +9,10 @@
 //	membottle -app swim -profiler sample -sanitize
 //	membottle -app tomcatv -profiler sample -stop-cycles 50000000 -checkpoint run.mbcp
 //	membottle -app tomcatv -profiler sample -resume run.mbcp
-//	membottle -app mgrid -intervals -clusters 8
 //	membottle -list
 //
-// With -intervals, no profiler runs: the workload goes through the
-// representative-interval engine (capture once, cluster, simulate only
-// cluster representatives) and the extrapolated per-object miss
-// counters print next to an exact full run's, with relative errors —
-// the engine's differential error-bound report for one application.
+// The representative-interval engine's error-bound report for one
+// application is `mbtables -intervals -apps <app>`.
 package main
 
 import (
@@ -29,7 +25,6 @@ import (
 	"strings"
 
 	"membottle"
-	"membottle/internal/experiments"
 	"membottle/internal/obsio"
 	"membottle/internal/report"
 	"membottle/internal/storeio"
@@ -51,9 +46,6 @@ func main() {
 		ckptPath   = flag.String("checkpoint", "", "write a checkpoint to this file when the run stops")
 		resumePath = flag.String("resume", "", "resume from a checkpoint written by -checkpoint")
 		stopCycles = flag.Uint64("stop-cycles", 0, "stop cleanly at the first step boundary past this cycle count")
-		intervals  = flag.Bool("intervals", false, "run the representative-interval engine instead of a profiler and print its error-bound report")
-		intSize    = flag.Int("interval-size", 0, "interval size in references for -intervals (0: adaptive)")
-		clusters   = flag.Int("clusters", 0, "cluster count (representatives simulated) for -intervals (0: engine default)")
 	)
 	obsFlags := obsio.Register(flag.CommandLine)
 	storeFlags := storeio.Register(flag.CommandLine)
@@ -61,45 +53,6 @@ func main() {
 
 	if *list {
 		fmt.Println(strings.Join(membottle.Workloads(), "\n"))
-		return
-	}
-
-	if *intervals {
-		if *sanitize || *faultsSpec != "" || *ckptPath != "" || *resumePath != "" {
-			fatal(fmt.Errorf("-intervals is capture-and-extrapolate; it composes with none of -sanitize, -faults, -checkpoint, -resume"))
-		}
-		obs, err := obsFlags.Build()
-		if err != nil {
-			fatal(err)
-		}
-		st, err := storeFlags.Build(obs)
-		if err != nil {
-			fatal(err)
-		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		res, err := experiments.IntervalErrorsApp(*app, experiments.Options{
-			Apps:             []string{*app},
-			Budget:           *budget,
-			Seed:             *seed,
-			Ctx:              ctx,
-			IntervalRefs:     *intSize,
-			IntervalClusters: *clusters,
-			Obs:              obs,
-			Store:            st,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if err := experiments.RenderIntervalErrors([]experiments.IntervalResult{res}).Render(os.Stdout); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nintervals: %d in %d clusters; simulated %d of %d references (%.1f%%)\n",
-			res.Intervals, res.Clusters, res.SimRefs, res.TotalRefs,
-			100*float64(res.SimRefs)/float64(res.TotalRefs))
-		if err := obsFlags.Finish(obs, os.Stdout); err != nil {
-			fatal(err)
-		}
 		return
 	}
 

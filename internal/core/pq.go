@@ -190,9 +190,3 @@ func (q *regionPQ) down(i int) int {
 	}
 	return steps
 }
-
-// LastPct exposes the most recent measurement (diagnostics).
-func (r *Region) LastPct() float64 { return r.lastPct }
-
-// NMeasured exposes the number of recorded samples (diagnostics).
-func (r *Region) NMeasured() int { return r.nMeasured }

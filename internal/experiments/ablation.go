@@ -60,7 +60,7 @@ func AblationAlignment(app string, opt Options) (aligned, naive AccuracySummary,
 	opt = opt.withDefaults()
 	budget := opt.budgetFor(app)
 
-	a, _, err := runSearch(opt, app, budget, core.SearchConfig{N: opt.SearchN, Interval: opt.SearchInterval})
+	a, _, err := runSearch(opt, app, budget, core.SearchConfig{N: searchN, Interval: searchInterval})
 	if err != nil {
 		return
 	}
@@ -68,7 +68,7 @@ func AblationAlignment(app string, opt Options) (aligned, naive AccuracySummary,
 		return
 	}
 	n, _, err := runSearch(opt, app, budget, core.SearchConfig{
-		N: opt.SearchN, Interval: opt.SearchInterval, NoAlignSplits: true,
+		N: searchN, Interval: searchInterval, NoAlignSplits: true,
 	})
 	if err != nil {
 		return
@@ -91,7 +91,7 @@ func AblationPhase(opt Options) (with, without AccuracySummary, err error) {
 	const app = "su2cor"
 	budget := opt.budgetFor(app)
 
-	w, _, err := runSearch(opt, app, budget, core.SearchConfig{N: 2, Interval: opt.SearchInterval})
+	w, _, err := runSearch(opt, app, budget, core.SearchConfig{N: 2, Interval: searchInterval})
 	if err != nil {
 		return
 	}
@@ -99,7 +99,7 @@ func AblationPhase(opt Options) (with, without AccuracySummary, err error) {
 		return
 	}
 	wo, _, err := runSearch(opt, app, budget, core.SearchConfig{
-		N: 2, Interval: opt.SearchInterval, NoPhaseHandling: true,
+		N: 2, Interval: searchInterval, NoPhaseHandling: true,
 	})
 	if err != nil {
 		return
@@ -115,7 +115,7 @@ func AblationTimeshare(app string, phys int, opt Options) (dedicated, shared Acc
 	opt = opt.withDefaults()
 	budget := opt.budgetFor(app)
 
-	d, _, err := runSearch(opt, app, budget, core.SearchConfig{N: opt.SearchN, Interval: opt.SearchInterval})
+	d, _, err := runSearch(opt, app, budget, core.SearchConfig{N: searchN, Interval: searchInterval})
 	if err != nil {
 		return
 	}
@@ -130,7 +130,7 @@ func AblationTimeshare(app string, phys int, opt Options) (dedicated, shared Acc
 	if err = sys.LoadWorkloadByName(app); err != nil {
 		return
 	}
-	s := core.NewSearch(core.SearchConfig{N: opt.SearchN, Interval: opt.SearchInterval})
+	s := core.NewSearch(core.SearchConfig{N: searchN, Interval: searchInterval})
 	if err = sys.Attach(s); err != nil {
 		return
 	}
@@ -149,7 +149,7 @@ func AblationRetirement(opt Options) (plain, retire AccuracySummary, err error) 
 	const app = "su2cor"
 	budget := opt.budgetFor(app)
 
-	p, _, err := runSearch(opt, app, budget, core.SearchConfig{N: 4, Interval: opt.SearchInterval})
+	p, _, err := runSearch(opt, app, budget, core.SearchConfig{N: 4, Interval: searchInterval})
 	if err != nil {
 		return
 	}
@@ -157,7 +157,7 @@ func AblationRetirement(opt Options) (plain, retire AccuracySummary, err error) 
 		return
 	}
 	r, _, err := runSearch(opt, app, budget, core.SearchConfig{
-		N: 4, Interval: opt.SearchInterval, RetireFound: true,
+		N: 4, Interval: searchInterval, RetireFound: true,
 	})
 	if err != nil {
 		return

@@ -34,9 +34,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if len(o.Apps) != 7 || o.Apps[0] != "tomcatv" || o.Apps[6] != "ijpeg" {
 		t.Fatalf("default apps = %v", o.Apps)
 	}
-	if o.SearchN != 10 || o.SearchInterval == 0 {
-		t.Fatalf("search defaults wrong: %+v", o)
-	}
 	if got := o.sampleIntervalFor("tomcatv"); got != 2000 {
 		t.Fatalf("tomcatv sample interval = %d", got)
 	}

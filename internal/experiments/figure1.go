@@ -31,7 +31,7 @@ func Figure1(opt Options) (Figure1Result, error) {
 	if err := sys.LoadWorkloadByName(app); err != nil {
 		return Figure1Result{}, err
 	}
-	s := core.NewSearch(core.SearchConfig{N: 2, Interval: opt.SearchInterval, RecordHistory: true})
+	s := core.NewSearch(core.SearchConfig{N: 2, Interval: searchInterval, RecordHistory: true})
 	if err := sys.Attach(s); err != nil {
 		return Figure1Result{}, err
 	}

@@ -94,13 +94,13 @@ func Figure2(opt Options) (Figure2Result, error) {
 		return Figure2Result{}, err
 	}
 	greedy, _, err := runSearch(opt, "figure2", budget, core.SearchConfig{
-		N: 2, Interval: opt.SearchInterval, Greedy: true,
+		N: 2, Interval: searchInterval, Greedy: true,
 	})
 	if err != nil {
 		return Figure2Result{}, err
 	}
 	pq, _, err := runSearch(opt, "figure2", budget, core.SearchConfig{
-		N: 2, Interval: opt.SearchInterval,
+		N: 2, Interval: searchInterval,
 	})
 	if err != nil {
 		return Figure2Result{}, err

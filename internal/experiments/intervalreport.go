@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"membottle"
 	"membottle/internal/interval"
 	"membottle/internal/report"
 )
@@ -24,18 +25,16 @@ type IntervalResult struct {
 	// Report compares the interval estimate against exact ground truth.
 	Report interval.ErrorReport
 
-	// Sampling diagnostics: how the stream was partitioned and how much
-	// simulation the representatives actually cost.
-	Intervals int
-	Clusters  int
+	// How much of the reference stream the representatives simulated.
 	TotalRefs uint64
 	SimRefs   uint64
 }
 
 // IntervalErrorsApp builds one application's error-bound report: an
-// exact plain run (the differential oracle) and a
-// representative-interval run over the same budget, compared counter by
-// counter.
+// exact plain run (the differential oracle, shared with the tables
+// through the TruthCache and Store) and a representative-interval run
+// over the same budget, compared counter by counter. The interval engine
+// sizes its intervals adaptively and uses its default cluster count.
 func IntervalErrorsApp(app string, opt Options) (IntervalResult, error) {
 	opt = opt.withDefaults()
 	if err := checkApp(app); err != nil {
@@ -43,22 +42,26 @@ func IntervalErrorsApp(app string, opt Options) (IntervalResult, error) {
 	}
 	budget := opt.budgetFor(app)
 
-	oracleOpt := opt
-	oracleOpt.Intervals = false
-	oracle, _, err := runPlain(oracleOpt, app, budget)
+	oracle, _, err := runPlain(opt, app, budget)
 	if err != nil {
 		return IntervalResult{}, err
 	}
 
-	res, err := runInterval(opt, app, budget)
+	w, err := membottle.NewWorkload(app)
+	if err != nil {
+		return IntervalResult{}, err
+	}
+	res, err := interval.Run(opt.Ctx, w, budget, interval.Config{
+		Seed:    opt.Seed,
+		Workers: opt.TruthWorkers,
+		Obs:     opt.Obs,
+	})
 	if err != nil {
 		return IntervalResult{}, err
 	}
 	return IntervalResult{
 		App:       app,
 		Report:    interval.Compare(res.Truth, oracle, 0),
-		Intervals: len(res.Plan.Spans),
-		Clusters:  len(res.Reps),
 		TotalRefs: res.Plan.TotalRefs,
 		SimRefs:   res.SimRefs,
 	}, nil

@@ -16,8 +16,6 @@ import (
 	"context"
 
 	"membottle"
-	"membottle/internal/cache"
-	"membottle/internal/core"
 	"membottle/internal/store"
 )
 
@@ -28,19 +26,6 @@ type Options struct {
 	// Budget is the per-run application instruction budget; 0 selects a
 	// per-app default sized so every technique sees enough misses.
 	Budget uint64
-	// SampleInterval is the misses-between-samples for Table 1; 0 selects
-	// a per-app default (2,000 for the dense-miss FP codes, 200 for the
-	// sparse-miss compress/ijpeg; 50,000 in Paper mode, as in the paper).
-	SampleInterval uint64
-	// SampleMode is the interval mode for Table 1 sampling. The paper's
-	// Table 1 used a fixed interval (which is what exposed the tomcatv
-	// resonance), so Fixed is the default.
-	SampleMode core.IntervalMode
-	// SearchN is the number of region counters; default 10.
-	SearchN int
-	// SearchInterval is the initial search iteration length in cycles;
-	// default 8,000,000.
-	SearchInterval uint64
 	// Seed for randomized components.
 	Seed int64
 	// Paper selects paper-fidelity parameters: 1-in-50,000 sampling and
@@ -81,37 +66,16 @@ type Options struct {
 	// it); the sequential engine is the oracle baseline and what
 	// cmd/mbbench's truth family measures speedups against.
 	SeqTruth bool
-	// Intervals serves plain ground-truth runs from the
-	// representative-interval engine (internal/interval): the reference
-	// stream is captured once, clustered, and only cluster
-	// representatives are simulated, so the resulting truth tables are
-	// approximate (the exact engines remain the differential oracle —
-	// see IntervalErrors for the error-bound report). Ignored when the
-	// options pin runs to an exact engine (SeqTruth, Scalar, Sanitize,
-	// or fault injection), and an individual workload outside the
-	// capture preconditions falls back to the sequential engine.
-	Intervals bool
-	// IntervalRefs is the interval size in references for Intervals
-	// runs; 0 sizes intervals adaptively from the captured trace.
-	IntervalRefs int
-	// IntervalClusters is the cluster count (representatives simulated)
-	// for Intervals runs; 0 selects the engine default.
-	IntervalClusters int
 	// TruthWorkers is the worker count for the sharded ground-truth
 	// engine; 0 selects GOMAXPROCS. Ignored when SeqTruth is set.
 	TruthWorkers int
 	// TruthCache, when non-nil, memoizes plain ground-truth runs across
-	// the experiments of one invocation, keyed by application, budget,
-	// and cache geometry: Table 1, Table 2, Figure 2, and the ablations
-	// all need the same baseline runs, so each is simulated once.
+	// the experiments of one invocation, keyed by application and
+	// budget: Table 1, Table 2, Figure 2, the ablations and the interval
+	// report all need the same baseline runs, so each is simulated once.
 	// Bypassed when fault injection is enabled (faults make run outcomes
 	// attempt-dependent).
 	TruthCache *TruthCache
-	// Geometry is the simulated cache geometry for every run; the zero
-	// value selects membottle.DefaultConfig().Cache. It joins both
-	// memoization keys (TruthCache and Store), so geometry-varying runs
-	// can never alias a cached result.
-	Geometry cache.Config
 	// Store, when non-nil, persists successful plain-run baselines and
 	// completed experiment cells across invocations: lookups go
 	// TruthCache (in-memory, single-flight) → Store (disk) → compute.
@@ -122,6 +86,15 @@ type Options struct {
 	// by forEachApp, it re-salts the fault injector's seed.
 	attempt int
 }
+
+// The search's program constants: ten region counters, as on the
+// paper's machine, and an initial iteration length of 8M cycles. Every
+// run uses the default cache geometry (membottle.DefaultConfig). A change
+// to any of them changes stored results, so it bumps store.SchemaVersion.
+const (
+	searchN        = 10
+	searchInterval = 8_000_000
+)
 
 var defaultBudgets = map[string]uint64{
 	"tomcatv":  130_000_000,
@@ -147,12 +120,6 @@ func (o Options) withDefaults() Options {
 	if len(o.Apps) == 0 {
 		o.Apps = PaperApps()
 	}
-	if o.SearchN == 0 {
-		o.SearchN = 10
-	}
-	if o.SearchInterval == 0 {
-		o.SearchInterval = 8_000_000
-	}
 	return o
 }
 
@@ -171,22 +138,12 @@ func (o Options) budgetFor(app string) uint64 {
 	return b
 }
 
-// geometry returns the effective cache geometry: the option as given, or
-// the engine default when zero — the same resolution membottle.NewSystem
-// performs, computed here so memoization keys always hold the geometry
-// the run actually uses.
-func (o Options) geometry() cache.Config {
-	if o.Geometry == (cache.Config{}) {
-		return membottle.DefaultConfig().Cache
-	}
-	return o.Geometry
-}
-
-// sampleIntervalFor returns the sampling interval for one app.
+// sampleIntervalFor returns Table 1's misses-between-samples for one
+// app: 2,000 for the dense-miss FP codes, 200 for the sparse-miss
+// compress and ijpeg, and the paper's 50,000 in Paper mode. Table 1
+// samples at a fixed interval, as the paper's did (which is what exposed
+// the tomcatv resonance).
 func (o Options) sampleIntervalFor(app string) uint64 {
-	if o.SampleInterval != 0 {
-		return o.SampleInterval
-	}
 	if o.Paper {
 		return 50_000
 	}

@@ -93,7 +93,7 @@ func PerturbationApp(app string, opt Options) ([]PerturbRow, error) {
 
 	var out []PerturbRow
 
-	search, searchSys, err := runSearch(opt, app, budget, core.SearchConfig{N: opt.SearchN, Interval: opt.SearchInterval})
+	search, searchSys, err := runSearch(opt, app, budget, core.SearchConfig{N: searchN, Interval: searchInterval})
 	if err != nil {
 		return nil, err
 	}

@@ -14,15 +14,16 @@ import (
 // result the experiments read (estimates, Overhead) and on the machine
 // state behind them (cache statistics, PMU misses, interrupts).
 func TestProfiledRunsIgnoreTruth(t *testing.T) {
-	opt := Options{SearchInterval: 1_000_000}.withDefaults()
+	opt := Options{}.withDefaults()
 	const budget = 6_000_000
+	searchCfg := core.SearchConfig{N: searchN, Interval: 1_000_000}
 	for _, app := range []string{"mgrid", "compress"} {
 		profilers := map[string]func() membottle.Profiler{
 			"sampler": func() membottle.Profiler {
 				return core.NewSampler(core.SamplerConfig{Interval: opt.sampleIntervalFor(app), Seed: opt.Seed})
 			},
 			"search": func() membottle.Profiler {
-				return core.NewSearch(core.SearchConfig{N: opt.SearchN, Interval: opt.SearchInterval})
+				return core.NewSearch(searchCfg)
 			},
 		}
 		for name, mk := range profilers {
@@ -72,7 +73,7 @@ func TestProfiledRunsKeepTruthWhenSanitizing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, search, err := runSearch(opt, app, budget, core.SearchConfig{N: opt.SearchN, Interval: 1_000_000})
+		_, search, err := runSearch(opt, app, budget, core.SearchConfig{N: searchN, Interval: 1_000_000})
 		if err != nil {
 			t.Fatal(err)
 		}

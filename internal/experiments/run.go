@@ -8,7 +8,6 @@ import (
 	"membottle"
 	"membottle/internal/capture"
 	"membottle/internal/core"
-	"membottle/internal/interval"
 	"membottle/internal/shard"
 	"membottle/internal/truth"
 )
@@ -20,7 +19,6 @@ import (
 // it, so a sanitized system always carries it.
 func newSystem(opt Options, withTruth bool) *membottle.System {
 	cfg := membottle.DefaultConfig()
-	cfg.Cache = opt.geometry()
 	cfg.ScalarRefs = opt.Scalar
 	cfg.Sanitize = opt.Sanitize
 	cfg.SkipTruth = !withTruth && !opt.Sanitize
@@ -75,33 +73,6 @@ func shardEligible(opt Options) bool {
 	return !opt.SeqTruth && !opt.Scalar && !opt.Sanitize && opt.Faults == nil
 }
 
-// intervalEligible reports whether plain runs may use the
-// representative-interval engine: it must be requested, and the same
-// options that pin runs to an exact engine for the sharded path pin
-// them here too (the interval engine is approximate, so anything that
-// demands the trusted baseline demands the exact one).
-func intervalEligible(opt Options) bool {
-	return opt.Intervals && shardEligible(opt)
-}
-
-// runInterval executes a workload through the representative-interval
-// engine under the run options. Callers treat capture.ErrFallback as
-// "use the sequential engine".
-func runInterval(opt Options, app string, budget uint64) (*interval.Result, error) {
-	w, err := membottle.NewWorkload(app)
-	if err != nil {
-		return nil, err
-	}
-	return interval.Run(opt.Ctx, w, budget, interval.Config{
-		Cache:        opt.Geometry,
-		IntervalRefs: opt.IntervalRefs,
-		Clusters:     opt.IntervalClusters,
-		Seed:         opt.Seed,
-		Workers:      opt.TruthWorkers,
-		Obs:          opt.Obs,
-	})
-}
-
 func runPlainUncached(opt Options, app string, budget uint64) (*truth.Counter, membottle.Overhead, error) {
 	if shardEligible(opt) {
 		tc, ov, err := runCaptured(opt, app, budget)
@@ -119,24 +90,14 @@ func runPlainUncached(opt Options, app string, budget uint64) (*truth.Counter, m
 	return sys.Truth, sys.Overhead(), nil
 }
 
-// runCaptured serves a plain run from a capture-based engine: the
-// interval engine when the options request it, else the sharded one.
-// Both check the same preconditions, so a capture.ErrFallback from
-// either means only the sequential engine can serve the run.
+// runCaptured serves a plain run from the set-sharded engine. A
+// capture.ErrFallback means only the sequential engine can serve it.
 func runCaptured(opt Options, app string, budget uint64) (*truth.Counter, membottle.Overhead, error) {
-	if intervalEligible(opt) {
-		res, err := runInterval(opt, app, budget)
-		if err != nil {
-			return nil, membottle.Overhead{}, err
-		}
-		return res.Truth, membottle.Overhead{TotalCycles: res.Cycles, TotalMisses: res.Stats.Misses, AppInstructions: res.AppInsts}, nil
-	}
 	w, err := membottle.NewWorkload(app)
 	if err != nil {
 		return nil, membottle.Overhead{}, err
 	}
 	res, err := shard.Run(opt.Ctx, w, budget, shard.Config{
-		Cache:   opt.Geometry,
 		Workers: opt.TruthWorkers,
 		Obs:     opt.Obs,
 	})

@@ -70,14 +70,14 @@ func SearchIntervalSensitivity(app string, opt Options) ([]SensitivityRow, error
 
 	var out []SensitivityRow
 	for _, iv := range []uint64{1_000_000, 2_000_000, 4_000_000, 8_000_000, 16_000_000, 32_000_000} {
-		row, err := eval(fmt.Sprintf("interval=%dM", iv/1_000_000), core.SearchConfig{N: opt.SearchN, Interval: iv})
+		row, err := eval(fmt.Sprintf("interval=%dM", iv/1_000_000), core.SearchConfig{N: searchN, Interval: iv})
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, row)
 	}
 	row, err := eval("adaptive (target 50k misses)", core.SearchConfig{
-		N: opt.SearchN, Interval: 2_000_000, TargetMissesPerInterval: 50_000,
+		N: searchN, Interval: 2_000_000, TargetMissesPerInterval: 50_000,
 	})
 	if err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"membottle"
-	"membottle/internal/cache"
 	"membottle/internal/checkpoint"
 	"membottle/internal/objmap"
 	"membottle/internal/store"
@@ -19,12 +18,15 @@ import (
 // experiment cells (one application's Table 1 or Table 2 block). Only
 // successful results are ever stored; every failure path recomputes.
 //
-// Keys follow the truthKey discipline: everything that determines the
-// result joins the key — app, budget, cache geometry, and the interval
-// engine's parameters when an approximate run would serve the request —
-// while exact engine selection (scalar, sequential vs. sharded, worker
-// count) is deliberately excluded because those engines are
-// byte-identical by contract, enforced by the differential tests.
+// Keys follow the truthKey discipline: a key holds what a caller can
+// vary — app, budget, and for cells the stage, seed and sampling
+// interval (which follows Paper mode and the app). Program constants
+// (cache geometry, search width and initial interval, fixed sampling
+// mode, cost model) stay out of the key; a change to any of them bumps
+// store.SchemaVersion instead. Exact engine selection (scalar,
+// sequential vs. sharded, worker count) is deliberately excluded because
+// those engines are byte-identical by contract, enforced by the
+// differential tests.
 
 // storeEligible reports whether the persistent store may serve this run:
 // a store must be attached and fault injection must be off (fault
@@ -34,33 +36,11 @@ func storeEligible(opt Options) bool {
 	return opt.Store != nil && opt.Faults == nil
 }
 
-// geomKey folds a cache geometry into a key under a field-name prefix.
-func geomKey(b *store.KeyBuilder, prefix string, g cache.Config) {
-	b.I64(prefix+".size", int64(g.Size))
-	b.I64(prefix+".line", int64(g.LineSize))
-	b.I64(prefix+".assoc", int64(g.Assoc))
-}
-
-// intervalParamsKey folds the approximate-engine parameters into a key
-// exactly when an interval run would serve the request, mirroring
-// truthKey: exact and approximate results must never alias.
-func intervalParamsKey(b *store.KeyBuilder, opt Options) {
-	eligible := intervalEligible(opt)
-	b.Bool("intervals", eligible)
-	if eligible {
-		b.I64("interval.refs", int64(opt.IntervalRefs))
-		b.I64("interval.clusters", int64(opt.IntervalClusters))
-		b.I64("interval.seed", opt.Seed)
-	}
-}
-
 // truthStoreKey is the content address of one plain-run baseline.
-func truthStoreKey(opt Options, app string, budget uint64) store.Key {
+func truthStoreKey(app string, budget uint64) store.Key {
 	b := store.NewKey(store.KindTruth)
 	b.Str("app", app)
 	b.U64("budget", budget)
-	geomKey(b, "geom", opt.geometry())
-	intervalParamsKey(b, opt)
 	return b.Key()
 }
 
@@ -72,7 +52,7 @@ func runPlainStored(opt Options, app string, budget uint64) (*truth.Counter, mem
 	if !storeEligible(opt) {
 		return runPlainUncached(opt, app, budget)
 	}
-	key := truthStoreKey(opt, app, budget)
+	key := truthStoreKey(app, budget)
 	if payload, ok := opt.Store.Get(key); ok {
 		t, ov, err := decodeTruthRecord(payload)
 		if err == nil {
@@ -170,18 +150,14 @@ func decodeTruthRecord(payload []byte) (*truth.Counter, membottle.Overhead, erro
 
 // cellStoreKey is the content address of one completed experiment cell.
 // stage discriminates the table family ("table1", "table2"); every
-// option that reaches the cell's simulations joins the key.
+// option a caller can vary that reaches the cell's simulations joins the
+// key.
 func cellStoreKey(stage, app string, opt Options) store.Key {
 	b := store.NewKey(store.KindCell)
 	b.Str("stage", stage)
 	b.Str("app", app)
 	b.U64("budget", opt.budgetFor(app))
-	geomKey(b, "geom", opt.geometry())
-	intervalParamsKey(b, opt)
 	b.U64("sample.interval", opt.sampleIntervalFor(app))
-	b.I64("sample.mode", int64(opt.SampleMode))
-	b.I64("search.n", int64(opt.SearchN))
-	b.U64("search.interval", opt.SearchInterval)
 	b.I64("seed", opt.Seed)
 	return b.Key()
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"membottle"
-	"membottle/internal/cache"
 	"membottle/internal/obs"
 	"membottle/internal/store"
 )
@@ -65,58 +64,6 @@ func TestTruthRecordRejectsCorruptPayload(t *testing.T) {
 	}
 	if _, _, err := decodeTruthRecord(append(payload, 0)); err == nil {
 		t.Fatal("truth record with trailing bytes decoded without error")
-	}
-}
-
-// TestGeometryCannotAliasCache pins the truthKey geometry fix: runs with
-// different cache geometries must occupy different TruthCache entries
-// and different store keys — the key reflects the geometry the run
-// actually uses, not the engine default.
-func TestGeometryCannotAliasCache(t *testing.T) {
-	small := cache.Config{Size: 1 << 14, LineSize: 32, Assoc: 1}
-	defGeom := membottle.DefaultConfig().Cache
-	if small == defGeom {
-		t.Fatal("test geometry equals the default; pick a different one")
-	}
-
-	// Store keys must differ by geometry alone.
-	base := Options{}.withDefaults()
-	varied := base
-	varied.Geometry = small
-	if truthStoreKey(base, "mgrid", 1_000_000) == truthStoreKey(varied, "mgrid", 1_000_000) {
-		t.Fatal("truth store keys alias across geometries")
-	}
-	if cellStoreKey("table1", "mgrid", base) == cellStoreKey("table1", "mgrid", varied) {
-		t.Fatal("cell store keys alias across geometries")
-	}
-	// The explicit default geometry and the zero value are the same run,
-	// so they must share a key (no spurious recomputes).
-	explicit := base
-	explicit.Geometry = defGeom
-	if truthStoreKey(base, "mgrid", 1_000_000) != truthStoreKey(explicit, "mgrid", 1_000_000) {
-		t.Fatal("zero geometry and explicit default geometry produce different keys")
-	}
-
-	// The in-memory TruthCache must also key on effective geometry: two
-	// geometries → two entries, and the two baselines genuinely differ.
-	tc := NewTruthCache()
-	optA := Options{TruthCache: tc}.withDefaults()
-	optB := optA
-	optB.Geometry = small
-	const budget = 1_000_000
-	ta, _, err := runPlain(optA, "mgrid", budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, _, err := runPlain(optB, "mgrid", budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tc.Len() != 2 {
-		t.Fatalf("TruthCache entries = %d, want 2 (geometry aliased)", tc.Len())
-	}
-	if ta.Total == tb.Total {
-		t.Fatalf("both geometries produced %d total misses; expected the smaller cache to miss more", ta.Total)
 	}
 }
 

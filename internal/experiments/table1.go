@@ -68,7 +68,7 @@ func Table1App(app string, opt Options) (AppResult, error) {
 	interval := opt.sampleIntervalFor(app)
 	sampler, sampleSys, err := runSampler(opt, app, budget, core.SamplerConfig{
 		Interval: interval,
-		Mode:     opt.SampleMode,
+		Mode:     core.IntervalFixed,
 		Seed:     opt.Seed,
 	})
 	if err != nil {
@@ -76,8 +76,8 @@ func Table1App(app string, opt Options) (AppResult, error) {
 	}
 
 	search, searchSys, err := runSearch(opt, app, budget, core.SearchConfig{
-		N:        opt.SearchN,
-		Interval: opt.SearchInterval,
+		N:        searchN,
+		Interval: searchInterval,
 	})
 	if err != nil {
 		return AppResult{}, err

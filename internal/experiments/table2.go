@@ -52,11 +52,11 @@ func Table2App(app string, opt Options) (Table2AppResult, error) {
 	if err != nil {
 		return Table2AppResult{}, err
 	}
-	two, _, err := runSearch(opt, app, budget, core.SearchConfig{N: 2, Interval: opt.SearchInterval})
+	two, _, err := runSearch(opt, app, budget, core.SearchConfig{N: 2, Interval: searchInterval})
 	if err != nil {
 		return Table2AppResult{}, err
 	}
-	ten, _, err := runSearch(opt, app, budget, core.SearchConfig{N: opt.SearchN, Interval: opt.SearchInterval})
+	ten, _, err := runSearch(opt, app, budget, core.SearchConfig{N: searchN, Interval: searchInterval})
 	if err != nil {
 		return Table2AppResult{}, err
 	}

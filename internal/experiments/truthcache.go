@@ -4,25 +4,24 @@ import (
 	"sync"
 
 	"membottle"
-	"membottle/internal/cache"
 	"membottle/internal/truth"
 )
 
 // TruthCache memoizes uninstrumented ground-truth baseline runs within
 // one experiments invocation. Table 1, Table 2, Figure 2, the ablations,
-// and the sensitivity sweeps all begin from the same plain run of each
-// application; with a shared TruthCache on the Options each (app,
-// budget, cache geometry) baseline is simulated exactly once and the
-// result — deterministic, and read-only to every consumer — is shared.
+// the sensitivity sweeps and the interval error report all begin from
+// the same plain run of each application; with a shared TruthCache on
+// the Options each (app, budget) baseline is simulated exactly once and
+// the result — deterministic, and read-only to every consumer — is
+// shared.
 //
-// Entries are keyed by everything that determines a plain run's outcome.
-// Exact engine selection (scalar, sequential, sharded, worker count) is
-// deliberately excluded: those engines produce byte-identical results by
-// contract, enforced by the differential tests. The approximate
-// representative-interval engine is NOT byte-identical to the exact
-// engines, so when an interval run would serve the request its sampling
-// parameters join the key — an interval estimate is never returned to a
-// caller expecting exact truth, or vice versa. Failed runs are not
+// Entries are keyed by what a caller can vary about a plain run: the
+// application and the budget. Everything else that shapes it (the cache
+// geometry, the cost model) is a program constant. Exact engine
+// selection (scalar, sequential, sharded, worker count) is deliberately
+// excluded: those engines produce byte-identical results by contract,
+// enforced by the differential tests. Only exact engines serve plain
+// runs; the approximate interval engine never does. Failed runs are not
 // cached, so cancellation or retry semantics are unchanged.
 type TruthCache struct {
 	mu sync.Mutex
@@ -38,13 +37,6 @@ func NewTruthCache() *TruthCache {
 type truthKey struct {
 	app    string
 	budget uint64
-	geom   cache.Config
-
-	// Approximate-engine parameters; zero for exact runs.
-	intervals        bool
-	intervalRefs     int
-	intervalClusters int
-	intervalSeed     int64
 }
 
 type truthEntry struct {
@@ -61,13 +53,7 @@ type truthEntry struct {
 // it — and, with a persistent Store attached, the first flight consults
 // the disk tier before computing, so warm invocations pay one read.
 func (tc *TruthCache) get(opt Options, app string, budget uint64) (*truth.Counter, membottle.Overhead, error) {
-	key := truthKey{app: app, budget: budget, geom: opt.geometry()}
-	if intervalEligible(opt) {
-		key.intervals = true
-		key.intervalRefs = opt.IntervalRefs
-		key.intervalClusters = opt.IntervalClusters
-		key.intervalSeed = opt.Seed
-	}
+	key := truthKey{app: app, budget: budget}
 	tc.mu.Lock()
 	e := tc.m[key]
 	if e == nil {

@@ -258,9 +258,6 @@ func (m *Map) Objects() []*Object { return m.byID }
 // LiveHeapBlocks returns the number of currently live heap blocks.
 func (m *Map) LiveHeapBlocks() int { return m.heap.Len() }
 
-// HeapTreeHeight returns the height of the heap index (for cost models).
-func (m *Map) HeapTreeHeight() int { return m.heap.Height() }
-
 // Boundaries returns every object boundary within [lo, hi): each object's
 // Base and End clipped to the span, sorted and deduplicated. Region
 // splitting uses this to avoid placing a split point inside an object.

@@ -8,11 +8,11 @@
 //
 // Keys are content addresses: a canonical binary encoding of the record
 // kind, the engine SchemaVersion, and a caller-supplied sequence of
-// named, typed fields (application, budget, cache geometry, technique
-// parameters, ...) is hashed with SHA-256. Two requests share an entry
-// exactly when their canonical encodings are byte-identical; any field
-// that can change the result must be in the key, and any truth-affecting
-// engine change must bump SchemaVersion (see DESIGN.md).
+// named, typed fields (application, budget, seed, ...) is hashed with
+// SHA-256. Two requests share an entry exactly when their canonical
+// encodings are byte-identical; every setting a caller can vary must be
+// in the key, and any truth-affecting engine or program-constant change
+// must bump SchemaVersion (see DESIGN.md).
 //
 // Values are MBRS1 records: the MBCP1 tagged-section framing from
 // internal/checkpoint (same size caps, same never-trust-a-declared-
@@ -55,9 +55,10 @@ const Version = 1
 
 // SchemaVersion is the engine schema the store's contents were computed
 // under, folded into every key hash. Bump it whenever any truth-affecting
-// engine change lands (cost model, cache policy, workload setup, sampler
-// or search semantics): old entries then simply stop matching and are
-// recomputed and evicted over time, instead of serving stale results.
+// engine change lands (cost model, cache policy or geometry, workload
+// setup, sampler or search semantics and constants): old entries then
+// simply stop matching and are recomputed and evicted over time, instead
+// of serving stale results.
 const SchemaVersion = 1
 
 // DefaultMaxBytes is the on-disk cap applied when Options.MaxBytes is

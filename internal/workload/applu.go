@@ -77,9 +77,3 @@ func (w *Applu) Step(m *machine.Machine) {
 		w.pos = 0
 	}
 }
-
-// PhaseArrays exposes the two phase groups by name, for the Figure 5
-// time-series harness.
-func (w *Applu) PhaseArrays() (jacobian, rhs []string) {
-	return []string{"a", "b", "c", "d"}, []string{"rsd", "u", "frct"}
-}

@@ -7,7 +7,3 @@ type Addr = mem.Addr
 
 // newSpace isolates the mem dependency for NewSystem.
 func newSpace() *mem.Space { return mem.NewSpace() }
-
-// NewSpaceForTesting exposes a raw address space for callers building
-// custom machines in tests or tools.
-func NewSpaceForTesting() *mem.Space { return mem.NewSpace() }
