@@ -24,7 +24,8 @@ func (nullRunSink) ConsumeRuns(entries []uint64, refs, writes, cyclesBefore uint
 // zero across every execution mode: the batched hot path with miss
 // interrupts landing mid-stream and a handler that itself issues a
 // strided range, the line-at-a-time range helpers, the search's armed
-// cycle timer, and both capture modes.
+// cycle timer, and both capture modes (run capture both per line and
+// through its whole-line path).
 func TestAllocGate(t *testing.T) {
 	cfg := cache.DefaultConfig()
 	line := uint64(cfg.LineSize)
@@ -98,6 +99,11 @@ func TestAllocGate(t *testing.T) {
 		{Name: "machine.LoadRange/runcapture(RunSink)",
 			Warmup: func() { mu.LoadRange(rangeBase, 64*1024, line, 1) },
 			Op:     func() { mu.LoadRange(rangeBase, 64*1024, line, 1) }},
+		{Name: "machine.LoadRange/runcapture-whole-lines(RunSink)",
+			// Stride 8 over 1 MiB: 16,384 whole-line entries written
+			// straight into the buffer, four deliveries per op.
+			Warmup: func() { mu.LoadRange(rangeBase, 1<<20, 8, 1) },
+			Op:     func() { mu.LoadRange(rangeBase, 1<<20, 8, 1) }},
 	})
 
 	if mi.Interrupts == 0 {

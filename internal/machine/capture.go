@@ -325,9 +325,13 @@ func (m *Machine) captureRunBatch(refs []Ref) {
 // captureRunRange is the run-capture fast path for the strided range
 // helpers: a strided sweep's same-line runs are arithmetic, so the
 // entries are computed per run — never per reference — and the whole
-// range's cost is one bulk charge. The resulting entry stream is
-// bit-identical to feeding the same references through the per-reference
-// capture path (the machine capture tests enforce it).
+// range's cost is one bulk charge. When the stride divides the line, the
+// whole lines in the middle of the range go through captureWholeLines;
+// the first and last partial lines, and every other stride, fold one
+// line at a time. The resulting entry stream and every delivery are
+// bit-identical to feeding the same references through the
+// per-reference capture path (the machine capture tests and
+// FuzzRunCaptureRangeMatchesFold enforce it).
 func (m *Machine) captureRunRange(base mem.Addr, bytes, stride, computePer uint64, write bool) {
 	if m.stopErr != nil || bytes == 0 {
 		return
@@ -343,16 +347,20 @@ func (m *Machine) captureRunRange(base mem.Addr, bytes, stride, computePer uint6
 	}
 	m.Cycles += n*m.Cost.HitCycles + n*computePer*m.Cost.ComputeCPI
 	shift := m.runShift
+	lineSize := uint64(1) << shift
 	off, end := uint64(base), uint64(base)+bytes
-	for off < end {
-		line := off >> shift
-		stop := (line + 1) << shift
-		if stop > end {
-			stop = end
+	if lineSize%stride == 0 && lineSize/stride <= mem.MaxRunLen {
+		// A start at phase >= stride is a partial first line, and a start
+		// on the pending run's line may extend (and split) that run: fold
+		// the first line, after which every line starts at a phase below
+		// the stride on a line of its own.
+		if off&(lineSize-1) >= stride || off>>shift == m.runLastLine {
+			off = m.foldLine(off, end, stride, write)
 		}
-		cnt := (stop - off + stride - 1) / stride
-		m.foldRun(mem.Addr(off), line, cnt, stride, write)
-		off += cnt * stride
+		off = m.captureWholeLines(off, end, stride, write)
+	}
+	for off < end {
+		off = m.foldLine(off, end, stride, write)
 	}
 	if m.runCtx != nil {
 		m.pollIn -= int(n)
@@ -360,6 +368,72 @@ func (m *Machine) captureRunRange(base mem.Addr, bytes, stride, computePer uint6
 			m.pollCtx()
 		}
 	}
+}
+
+// foldLine folds the range's references on off's line (those below end)
+// into the pending run and returns the offset of the next reference.
+func (m *Machine) foldLine(off, end, stride uint64, write bool) uint64 {
+	line := off >> m.runShift
+	stop := (line + 1) << m.runShift
+	if stop > end {
+		stop = end
+	}
+	cnt := (stop - off + stride - 1) / stride
+	m.foldRun(mem.Addr(off), line, cnt, stride, write)
+	return off + cnt*stride
+}
+
+// captureWholeLines emits the whole lines of a range whose stride
+// divides the line into at most MaxRunLen references: off sits at a
+// phase below the stride on a line other than the pending run's. Each
+// line whose last reference lies below end is then exactly one entry
+// PackRun(lineBase+phase, lineSize/stride), and consecutive entries
+// differ by lineSize<<RunShift. The pending run is flushed once, the
+// entries are written straight into the buffer a free span at a time
+// with their tallies added in bulk, and the buffer is delivered exactly
+// when flushRun would deliver it. The last whole line stays pending, so
+// a following same-line reference still extends it. Returns the offset
+// of the first reference not emitted.
+func (m *Machine) captureWholeLines(off, end, stride uint64, write bool) uint64 {
+	shift := m.runShift
+	lineSize := uint64(1) << shift
+	perLine := lineSize / stride
+	last := (perLine - 1) * stride
+	if off+last >= end {
+		return off
+	}
+	lines := (end-off-last-1)>>shift + 1
+	if m.runPendCnt != 0 {
+		m.flushRun()
+	}
+	var wrPer uint64
+	if write {
+		wrPer = perLine
+	}
+	e := mem.PackRun(mem.Addr(off), int(perLine))
+	step := lineSize << mem.RunShift
+	for k := lines - 1; k > 0; {
+		n := uint64(cap(m.runBuf) - len(m.runBuf))
+		if n > k {
+			n = k
+		}
+		fill := m.runBuf[len(m.runBuf) : len(m.runBuf)+int(n)]
+		for i := range fill {
+			fill[i] = e
+			e += step
+		}
+		m.runBuf = m.runBuf[:len(m.runBuf)+int(n)]
+		m.runBufRefs += n * perLine
+		m.runBufWrites += n * wrPer
+		k -= n
+		if len(m.runBuf) == cap(m.runBuf) {
+			m.deliverRuns()
+		}
+	}
+	lastOff := off + (lines-1)*lineSize
+	m.runPendAddr, m.runLastLine = mem.Addr(lastOff), lastOff>>shift
+	m.runPendCnt, m.runPendWr = int(perLine), wrPer
+	return lastOff + lineSize
 }
 
 // foldRun folds cnt consecutive same-line references (addr, addr+stride,

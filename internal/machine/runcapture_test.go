@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
 	"membottle/internal/cache"
@@ -24,13 +25,20 @@ type runCollect struct {
 	refs       uint64
 	writes     uint64
 	deliveries int
+	tuples     []delivery
 }
 
-func (c *runCollect) ConsumeRuns(entries []uint64, refs, writes, _ uint64) {
+// delivery is one ConsumeRuns call's metadata.
+type delivery struct {
+	entries, refs, writes, cyclesBefore uint64
+}
+
+func (c *runCollect) ConsumeRuns(entries []uint64, refs, writes, cyclesBefore uint64) {
 	c.entries = append(c.entries, entries...)
 	c.refs += refs
 	c.writes += writes
 	c.deliveries++
+	c.tuples = append(c.tuples, delivery{uint64(len(entries)), refs, writes, cyclesBefore})
 }
 
 // compactRefs is an independent reference implementation of run
@@ -252,4 +260,191 @@ func TestRunCaptureDeliveryBoundaries(t *testing.T) {
 	if a0 != base || n0 != 2 || a1 != base+64 || n1 != 1 {
 		t.Errorf("entries (%#x,%d) (%#x,%d), want (%#x,2) (%#x,1)", a0, n0, a1, n1, base, base+64)
 	}
+}
+
+// foldCaptureRange is the reference run-capture range path: the
+// per-line fold loop with its own copies of the fold and flush steps,
+// one foldRun/flushRun round trip per line whatever the stride.
+func foldCaptureRange(m *Machine, base mem.Addr, bytes, stride, computePer uint64, write bool) {
+	if m.stopErr != nil || bytes == 0 {
+		return
+	}
+	n := (bytes + stride - 1) / stride
+	if m.runBufRefs == 0 && m.runPendCnt == 0 {
+		m.runCyc0 = m.Cycles
+	}
+	insts := n + n*computePer
+	m.Insts += insts
+	if !m.inHandler {
+		m.AppInsts += insts
+	}
+	m.Cycles += n*m.Cost.HitCycles + n*computePer*m.Cost.ComputeCPI
+	shift := m.runShift
+	off, end := uint64(base), uint64(base)+bytes
+	for off < end {
+		line := off >> shift
+		stop := (line + 1) << shift
+		if stop > end {
+			stop = end
+		}
+		cnt := (stop - off + stride - 1) / stride
+		foldRunRef(m, mem.Addr(off), line, cnt, stride, write)
+		off += cnt * stride
+	}
+}
+
+func foldRunRef(m *Machine, addr mem.Addr, line, cnt, stride uint64, write bool) {
+	if line != m.runLastLine {
+		if m.runPendCnt != 0 {
+			flushRunRef(m)
+		}
+		m.runLastLine = line
+	}
+	for cnt > 0 {
+		if m.runPendCnt == mem.MaxRunLen {
+			flushRunRef(m)
+		}
+		if m.runPendCnt == 0 {
+			m.runPendAddr = addr
+		}
+		take := uint64(mem.MaxRunLen - m.runPendCnt)
+		if take > cnt {
+			take = cnt
+		}
+		m.runPendCnt += int(take)
+		if write {
+			m.runPendWr += take
+		}
+		cnt -= take
+		addr += mem.Addr(take * stride)
+	}
+}
+
+func flushRunRef(m *Machine) {
+	m.runBuf = append(m.runBuf, mem.PackRun(m.runPendAddr, m.runPendCnt))
+	m.runBufRefs += uint64(m.runPendCnt)
+	m.runBufWrites += m.runPendWr
+	m.runPendCnt, m.runPendWr = 0, 0
+	if len(m.runBuf) == cap(m.runBuf) {
+		m.deliverRuns()
+	}
+}
+
+// FuzzRunCaptureRangeMatchesFold is the exactness oracle for run
+// capture's whole-line fast path. One program — preN loads on the range's
+// first line (a pending run carried in, split at MaxRunLen when long),
+// a strided LoadRange or StoreRange, then optionally a load of the
+// range's last reference (extending the run it left pending) — runs
+// three ways: through captureRunRange, through the reference per-line
+// fold loop, and as per-reference Load/Store and Compute calls. The
+// first two must agree on every entry, every delivery's (entries, refs,
+// writes, cyclesBefore) and the machine's Cycles/Insts/AppInsts; the
+// per-reference run must produce the same entries, reference and write
+// totals, and charges. Inputs: line size 32 to 512 bytes (a 512-byte
+// line at stride 1 exceeds MaxRunLen per line), a stride from 1 byte to
+// about four lines, the start's offset into its line, and a length up to
+// 1 MiB, long enough to cross several runBufEntries deliveries.
+func FuzzRunCaptureRangeMatchesFold(f *testing.F) {
+	// lineSel, stride, phase, bytes, computePer, write, preN, tail
+	for _, s := range []uint16{1, 8, 24, 64, 128} {
+		f.Add(uint8(1), s, uint16(0), uint32(64<<10), uint8(0), false, uint16(0), false)
+		f.Add(uint8(1), s, uint16(3), uint32(10_000+5), uint8(1), true, uint16(0), true)
+	}
+	f.Add(uint8(1), uint16(8), uint16(4), uint32(4096+20), uint8(0), false, uint16(0), false) // phase < stride
+	f.Add(uint8(1), uint16(8), uint16(40), uint32(4096+20), uint8(2), true, uint16(0), true)  // phase >= stride
+	f.Add(uint8(1), uint16(8), uint16(0), uint32(4096+36), uint8(0), false, uint16(1), true)  // ends mid-line, pending carried in
+	f.Add(uint8(1), uint16(8), uint16(0), uint32(56), uint8(0), false, uint16(0), true)       // ends just before a line's last ref
+	f.Add(uint8(1), uint16(8), uint16(0), uint32(4096), uint8(0), true, uint16(250), false)   // carried run splits at MaxRunLen
+	f.Add(uint8(1), uint16(8), uint16(0), uint32(1<<20), uint8(0), false, uint16(3), true)    // four deliveries
+	// Three full deliveries at stride = line.
+	f.Add(uint8(1), uint16(64), uint16(8), uint32(3*runBufEntries*64+200), uint8(1), true, uint16(0), false)
+	f.Add(uint8(4), uint16(1), uint16(7), uint32(8192+3), uint8(0), false, uint16(2), true) // 512 refs per line
+	f.Add(uint8(3), uint16(2), uint16(1), uint32(8192), uint8(0), false, uint16(0), false)  // 128 refs per line
+	f.Fuzz(func(t *testing.T, lineSel uint8, stride, phase uint16, bytes uint32, computePer uint8,
+		write bool, preN uint16, tail bool) {
+		lineSize := uint64(32) << (lineSel % 5)
+		s := max(1, uint64(stride)%(4*lineSize+1))
+		n := uint64(bytes) % (1<<20 + 1)
+		cp := uint64(computePer % 4)
+		pre := int(preN % 300)
+
+		type mode int
+		const (
+			fast mode = iota
+			fold
+			perRef
+		)
+		run := func(md mode) (*Machine, *runCollect) {
+			var rec runCollect
+			cfg := cache.Config{Size: 1 << 14, LineSize: int(lineSize), Assoc: 4}
+			m := New(mem.NewSpace(), cache.New(cfg), pmu.New(0), DefaultCosts())
+			m.SetRunCapture(&rec)
+			base := m.MustMalloc(2<<20) + mem.Addr(uint64(phase)%(2*lineSize))
+			lineBase := base &^ mem.Addr(lineSize-1)
+			for i := 0; i < pre; i++ {
+				m.Load(lineBase + mem.Addr(uint64(i)%lineSize))
+			}
+			switch md {
+			case fast:
+				if write {
+					m.StoreRange(base, n, s, cp)
+				} else {
+					m.LoadRange(base, n, s, cp)
+				}
+			case fold:
+				foldCaptureRange(m, base, n, s, cp, write)
+			case perRef:
+				for off := uint64(0); off < n; off += s {
+					if write {
+						m.Store(base + mem.Addr(off))
+					} else {
+						m.Load(base + mem.Addr(off))
+					}
+					if cp > 0 {
+						m.Compute(cp)
+					}
+				}
+			}
+			if tail && n > 0 {
+				m.Load(base + mem.Addr((n-1)/s*s))
+			}
+			m.FlushCapture()
+			return m, &rec
+		}
+		mf, got := run(fast)
+		mo, want := run(fold)
+		ms, scalar := run(perRef)
+
+		if !reflect.DeepEqual(got.entries, want.entries) {
+			t.Fatalf("entries diverge from the fold loop: %d vs %d entries, first difference at %d",
+				len(got.entries), len(want.entries), firstDiff(got.entries, want.entries))
+		}
+		if !reflect.DeepEqual(got.tuples, want.tuples) {
+			t.Fatalf("deliveries diverge from the fold loop:\n got %v\nwant %v", got.tuples, want.tuples)
+		}
+		if !reflect.DeepEqual(got.entries, scalar.entries) {
+			t.Fatalf("entries diverge from per-reference capture: %d vs %d entries, first difference at %d",
+				len(got.entries), len(scalar.entries), firstDiff(got.entries, scalar.entries))
+		}
+		if got.refs != scalar.refs || got.writes != scalar.writes {
+			t.Fatalf("range covered %d refs / %d writes, per-reference capture %d / %d",
+				got.refs, got.writes, scalar.refs, scalar.writes)
+		}
+		for _, o := range []*Machine{mo, ms} {
+			if mf.Cycles != o.Cycles || mf.Insts != o.Insts || mf.AppInsts != o.AppInsts {
+				t.Fatalf("charging diverged: cycles=%d insts=%d appinsts=%d, want %d/%d/%d",
+					mf.Cycles, mf.Insts, mf.AppInsts, o.Cycles, o.Insts, o.AppInsts)
+			}
+		}
+	})
+}
+
+// firstDiff is the first index where a and b differ (len of the shorter
+// when one is a prefix of the other).
+func firstDiff(a, b []uint64) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
 }

@@ -262,11 +262,15 @@ func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*R
 			// never grows.
 			missIdx: make([]uint32, 0, chunkEntries),
 		}
+	}
+	// Start the workers only once every one is built: an error above
+	// returns with no goroutine blocked on a channel nobody closes.
+	for _, wk := range workers {
 		wg.Add(1)
 		go func(wk *worker) {
 			defer wg.Done()
 			wk.run()
-		}(workers[i])
+		}(wk)
 	}
 
 	runErr := p.Run(ctx, budget, snk)
