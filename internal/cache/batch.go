@@ -162,3 +162,38 @@ func (c *Cache) AccessRun(a mem.Addr, n uint64, write bool) (done uint64, missed
 	}
 	return 1, true
 }
+
+// AccessPairRun simulates k >= 1 consecutive pairs of references to the
+// lines holding a and b (a's line, then b's, k times over) when both
+// lines are resident. Then every reference hits: the clock advances by
+// 2k, a's stamp becomes the final clock minus one and b's the final
+// clock (one stamp, the final clock, when the lines coincide), and Hits
+// and Reads/Writes rise by 2k, exactly as 2k Access calls would leave
+// them. Otherwise it changes nothing and returns false; the caller then
+// runs the pair through Access, where the miss takes its own path.
+func (c *Cache) AccessPairRun(a, b mem.Addr, k uint64, write bool) bool {
+	la, lb := uint64(a)>>c.lineShift, uint64(b)>>c.lineShift
+	wa := c.lookup(la)
+	if wa < 0 {
+		return false
+	}
+	if la == lb {
+		c.clock += 2 * k
+		c.ways[wa].stamp = c.clock
+	} else {
+		wb := c.lookup(lb)
+		if wb < 0 {
+			return false
+		}
+		c.clock += 2 * k
+		c.ways[wa].stamp = c.clock - 1
+		c.ways[wb].stamp = c.clock
+	}
+	c.Stats.Hits += 2 * k
+	if write {
+		c.Stats.Writes += 2 * k
+	} else {
+		c.Stats.Reads += 2 * k
+	}
+	return true
+}

@@ -150,15 +150,19 @@ func (c *Cache) Access(a mem.Addr, write bool) (miss bool) {
 // Probe reports whether address a is currently resident, without updating
 // LRU state or statistics. Used by tests and by perturbation analyses.
 func (c *Cache) Probe(a mem.Addr) bool {
-	line := uint64(a) >> c.lineShift
-	set := int(line & c.setMask)
-	base := set * c.assoc
+	return c.lookup(uint64(a)>>c.lineShift) >= 0
+}
+
+// lookup returns the index of the way holding line, or -1 when the line
+// is not resident.
+func (c *Cache) lookup(line uint64) int {
+	base := int(line&c.setMask) * c.assoc
 	for i := base; i < base+c.assoc; i++ {
 		if c.ways[i].stamp != 0 && c.ways[i].tag == line {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // Flush invalidates all lines and leaves statistics intact.

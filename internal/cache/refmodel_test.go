@@ -423,3 +423,101 @@ func TestAccessBatchComputeSum(t *testing.T) {
 		t.Fatalf("AccessBatch = (%d, %d, %v), want (4, 15, true)", n, compute, missed)
 	}
 }
+
+// TestAccessPairRunMatchesAccess checks AccessPairRun against 2k
+// per-reference calls: when it credits k pairs, the reference model must
+// hit on all 2k references and agree on the statistics, and a twin cache
+// driven through Access must hold the same snapshot, stamps included. When
+// it declines, the cache must be untouched and one of the pair's lines
+// absent; the pair then runs through Access on all three. Pairs fall on
+// one line, on distinct sets, and on one set, across 1-, 2-, 4- and 8-way
+// geometries, with a cold line sometimes thrown in between pairs.
+func TestAccessPairRunMatchesAccess(t *testing.T) {
+	for _, assoc := range []int{1, 2, 4, 8} {
+		cfg := Config{Size: 4 << 10, LineSize: 64, Assoc: assoc}
+		setSpan := uint64(cfg.Size / assoc)
+		rng := rand.New(rand.NewSource(int64(assoc)))
+		pair, twin, model := New(cfg), New(cfg), newRefModel(cfg)
+		credited, declined := 0, 0
+		for op := 0; op < 20_000; op++ {
+			a := mem.Addr(rng.Uint64()%24*uint64(cfg.LineSize) + rng.Uint64()%uint64(cfg.LineSize))
+			var b mem.Addr
+			switch rng.Intn(3) {
+			case 0: // a's line
+				b = a&^mem.Addr(cfg.LineSize-1) + mem.Addr(rng.Uint64()%uint64(cfg.LineSize))
+			case 1: // a's set, another line
+				b = a + mem.Addr(setSpan*(1+rng.Uint64()%2))
+			default: // anywhere in the pool
+				b = mem.Addr(rng.Uint64() % (24 * uint64(cfg.LineSize)))
+			}
+			if rng.Intn(4) == 0 {
+				cold := mem.Addr(1<<20 + rng.Uint64()%(64*uint64(cfg.LineSize)))
+				pair.Access(cold, false)
+				twin.Access(cold, false)
+				model.access(cold, false)
+			}
+			k := 1 + rng.Uint64()%64
+			write := rng.Intn(2) == 0
+			before := pair.State()
+			if pair.AccessPairRun(a, b, k, write) {
+				credited++
+				for i := uint64(0); i < k; i++ {
+					ra, rb := model.access(a, write), model.access(b, write)
+					twin.Access(a, write)
+					twin.Access(b, write)
+					if ra || rb {
+						t.Fatalf("assoc %d op %d: AccessPairRun credited (%#x,%#x) x%d but the model misses", assoc, op, a, b, k)
+					}
+				}
+			} else {
+				declined++
+				if !reflect.DeepEqual(pair.State(), before) {
+					t.Fatalf("assoc %d op %d: a declined AccessPairRun changed the cache", assoc, op)
+				}
+				if twin.Probe(a) && twin.Probe(b) {
+					t.Fatalf("assoc %d op %d: AccessPairRun declined with both lines resident", assoc, op)
+				}
+				for _, c := range []*Cache{pair, twin} {
+					c.Access(a, write)
+					c.Access(b, write)
+				}
+				model.access(a, write)
+				model.access(b, write)
+			}
+			if pair.Stats != model.stats || pair.Stats != twin.Stats {
+				t.Fatalf("assoc %d op %d: stats %+v, model %+v, Access %+v", assoc, op, pair.Stats, model.stats, twin.Stats)
+			}
+			if !reflect.DeepEqual(pair.State(), twin.State()) {
+				t.Fatalf("assoc %d op %d: snapshot differs from Access's", assoc, op)
+			}
+		}
+		if credited == 0 || declined == 0 {
+			t.Fatalf("assoc %d: %d credited, %d declined; the stream must exercise both", assoc, credited, declined)
+		}
+	}
+
+	// Declines that must leave the cache untouched: one line absent, and
+	// two lines of one set in a direct-mapped cache, which can never both
+	// be resident (touching a after b evicts b).
+	for _, tc := range []struct {
+		name  string
+		assoc int
+		b     mem.Addr
+	}{
+		{"absent line", 4, 0x2040},
+		{"direct-mapped set pair", 1, 0x1000 + 4<<10},
+	} {
+		c := New(Config{Size: 4 << 10, LineSize: 64, Assoc: tc.assoc})
+		if tc.assoc == 1 {
+			c.Access(tc.b, true)
+		}
+		c.Access(0x1000, true)
+		before := c.State()
+		if c.AccessPairRun(0x1008, tc.b+8, 3, true) {
+			t.Fatalf("%s: AccessPairRun credited a pair with a line absent", tc.name)
+		}
+		if !reflect.DeepEqual(c.State(), before) {
+			t.Fatalf("%s: a declined AccessPairRun changed the cache", tc.name)
+		}
+	}
+}

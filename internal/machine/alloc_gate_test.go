@@ -23,9 +23,9 @@ func (nullRunSink) ConsumeRuns(entries []uint64, refs, writes, cyclesBefore uint
 // TestAllocGate pins the machine's steady-state allocation budget at
 // zero across every execution mode: the batched hot path with miss
 // interrupts landing mid-stream and a handler that itself issues a
-// strided range, the line-at-a-time range helpers, the search's armed
-// cycle timer, and both capture modes (run capture both per line and
-// through its whole-line path).
+// strided range, the line-at-a-time range helpers, the paired range
+// helper, the search's armed cycle timer, and both capture modes (run
+// capture per line, through its whole-line path, and for paired ranges).
 func TestAllocGate(t *testing.T) {
 	cfg := cache.DefaultConfig()
 	line := uint64(cfg.LineSize)
@@ -99,6 +99,17 @@ func TestAllocGate(t *testing.T) {
 		{Name: "machine.LoadRange/runcapture(RunSink)",
 			Warmup: func() { mu.LoadRange(rangeBase, 64*1024, line, 1) },
 			Op:     func() { mu.LoadRange(rangeBase, 64*1024, line, 1) }},
+		{Name: "machine.StorePairRange/live",
+			// One pairSweep call: 1,024 elements of two arrays 1 MiB
+			// apart, a miss on each new line pair and one closed-form
+			// credit for the rest of it.
+			Warmup: func() { mr.StorePairRange(rangeBase, rangeBase+1<<20, 8192, 8, 4) },
+			Op:     func() { mr.StorePairRange(rangeBase, rangeBase+1<<20, 8192, 8, 4) }},
+		{Name: "machine.StorePairRange/runcapture(RunSink)",
+			// 8,192 elements: 16,384 single-reference entries, four
+			// deliveries per op.
+			Warmup: func() { mu.StorePairRange(rangeBase, rangeBase+1<<20, 64*1024, 8, 4) },
+			Op:     func() { mu.StorePairRange(rangeBase, rangeBase+1<<20, 64*1024, 8, 4) }},
 		{Name: "machine.LoadRange/runcapture-whole-lines(RunSink)",
 			// Stride 8 over 1 MiB: 16,384 whole-line entries written
 			// straight into the buffer, four deliveries per op.

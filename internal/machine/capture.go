@@ -213,6 +213,44 @@ func (m *Machine) captureRange(base mem.Addr, bytes, stride, computePer uint64, 
 	}
 }
 
+// capturePairs is the RefSink path of StorePairRange: the pairs are
+// staged in capBuf, the element's compute riding on its second store,
+// and delivered a full buffer at a time as captureRange delivers a
+// range. capBuf's capacity is even, so no pair straddles a delivery.
+func (m *Machine) capturePairs(a, b mem.Addr, bytes, stride, computePer uint64) {
+	if m.stopErr != nil || bytes == 0 {
+		return
+	}
+	m.flushCapBuf()
+	perPair := 2*m.Cost.HitCycles + computePer*m.Cost.ComputeCPI
+	for off := uint64(0); off < bytes; {
+		if m.stopErr != nil {
+			return
+		}
+		buf := m.capBuf
+		for ; off < bytes && len(buf)+2 <= cap(buf); off += stride {
+			buf = append(buf,
+				Ref{Addr: a + mem.Addr(off), Write: true},
+				Ref{Addr: b + mem.Addr(off), Write: true, Compute: computePer})
+		}
+		n := uint64(len(buf)) / 2
+		m.Insts += n * (2 + computePer)
+		if !m.inHandler {
+			m.AppInsts += n * (2 + computePer)
+		}
+		m.capCyc0 = m.Cycles
+		m.Cycles += n * perPair
+		m.capBuf = buf
+		m.flushCapBuf()
+		if m.runCtx != nil {
+			m.pollIn -= int(2 * n)
+			if m.pollIn <= 0 {
+				m.pollCtx()
+			}
+		}
+	}
+}
+
 // captureRunRef is the run-capture scalar path: charge the base cost,
 // then fold the reference into the pending same-line run, emitting a
 // packed entry only when the line changes (or a run saturates). The
@@ -320,6 +358,102 @@ func (m *Machine) captureRunBatch(refs []Ref) {
 			m.pollCtx()
 		}
 	}
+}
+
+// captureRunPairs is the run-capture path of StorePairRange. Its
+// entries, tallies and every delivery's (entries, refs, writes,
+// cyclesBefore) are those of captureRunBatch on the same call's
+// materialised references: the buffer is delivered when full before the
+// next reference is folded, and the call's cost is charged after its
+// last entry. The first element folds per reference, since its a store
+// may extend the pending run. When no two consecutive references can
+// share a line, every later reference ends the run before it as a
+// single-reference run, so those entries are written straight into the
+// buffer a free span at a time and the last b store stays pending.
+// Otherwise every element folds per reference.
+func (m *Machine) captureRunPairs(a, b mem.Addr, bytes, stride, computePer uint64) {
+	if m.stopErr != nil || bytes == 0 {
+		return
+	}
+	n := (bytes + stride - 1) / stride
+	if m.runBufRefs == 0 && m.runPendCnt == 0 {
+		m.runCyc0 = m.Cycles
+	}
+	m.foldRef(a)
+	m.foldRef(b)
+	lineSize := int64(1) << m.runShift
+	if d := int64(b - a); absInt64(d) >= lineSize && absInt64(d-int64(stride)) >= lineSize {
+		// The pending run is b's first store; each later element flushes
+		// the b store before it and its own a store.
+		next, other := mem.PackRun(b, 1), mem.PackRun(a+mem.Addr(stride), 1)
+		step := stride << mem.RunShift
+		for k := 2 * (n - 1); k > 0; {
+			if len(m.runBuf) == cap(m.runBuf) {
+				m.deliverRuns()
+			}
+			span := min(uint64(cap(m.runBuf)-len(m.runBuf)), k)
+			fill := m.runBuf[len(m.runBuf) : len(m.runBuf)+int(span)]
+			for i := range fill {
+				fill[i] = next
+				next, other = other, next+step
+			}
+			m.runBuf = m.runBuf[:len(m.runBuf)+int(span)]
+			m.runBufRefs += span
+			m.runBufWrites += span
+			k -= span
+		}
+		last := b + mem.Addr((n-1)*stride)
+		m.runPendAddr, m.runLastLine = last, uint64(last)>>m.runShift
+		m.runPendCnt, m.runPendWr = 1, 1
+	} else {
+		for off := stride; off < bytes; off += stride {
+			m.foldRef(a + mem.Addr(off))
+			m.foldRef(b + mem.Addr(off))
+		}
+	}
+	insts := n * (2 + computePer)
+	m.Insts += insts
+	if !m.inHandler {
+		m.AppInsts += insts
+	}
+	m.Cycles += 2*n*m.Cost.HitCycles + n*computePer*m.Cost.ComputeCPI
+	if len(m.runBuf) == cap(m.runBuf) {
+		m.deliverRuns()
+	}
+	if m.runCtx != nil {
+		m.pollIn -= int(2 * n)
+		if m.pollIn <= 0 {
+			m.pollCtx()
+		}
+	}
+}
+
+// foldRef folds one store into the pending run as captureRunBatch's
+// loop does, delivering a full buffer first, and charges nothing.
+func (m *Machine) foldRef(addr mem.Addr) {
+	if len(m.runBuf) == cap(m.runBuf) {
+		m.deliverRuns()
+	}
+	line := uint64(addr) >> m.runShift
+	if line == m.runLastLine && m.runPendCnt < mem.MaxRunLen {
+		m.runPendCnt++
+	} else {
+		if m.runPendCnt != 0 {
+			m.runBuf = append(m.runBuf, mem.PackRun(m.runPendAddr, m.runPendCnt))
+			m.runBufRefs += uint64(m.runPendCnt)
+			m.runBufWrites += m.runPendWr
+		}
+		m.runPendAddr, m.runLastLine, m.runPendCnt = addr, line, 1
+		m.runPendWr = 0
+	}
+	m.runPendWr++
+}
+
+func absInt64(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // captureRunRange is the run-capture fast path for the strided range

@@ -683,6 +683,32 @@ func (m *Machine) rangeRefs(base mem.Addr, bytes, stride, computePer uint64, wri
 	}
 }
 
+// StorePairRange streams writes over the same offsets of two ranges in
+// lockstep, a helper for loops that update two arrays per iteration. It
+// simulates exactly
+//
+//	for off := 0; off < bytes; off += stride { Store(a+off); Store(b+off); Compute(computePer) }
+//
+// with the Compute call skipped when computePer is 0.
+func (m *Machine) StorePairRange(a, b mem.Addr, bytes, stride, computePer uint64) {
+	switch {
+	case m.Scalar || m.OnRef != nil || m.OnAccess != nil:
+		for off := uint64(0); off < bytes; off += stride {
+			m.access(a+mem.Addr(off), true)
+			m.access(b+mem.Addr(off), true)
+			if computePer > 0 {
+				m.Compute(computePer)
+			}
+		}
+	case m.runSink != nil:
+		m.captureRunPairs(a, b, bytes, stride, computePer)
+	case m.capturing:
+		m.capturePairs(a, b, bytes, stride, computePer)
+	default:
+		m.livePairRange(a, b, bytes, stride, computePer)
+	}
+}
+
 // liveRange simulates a strided range one cache line at a time. It
 // simulates exactly the scalar sequence
 //
@@ -792,6 +818,64 @@ func (m *Machine) liveRange(base mem.Addr, bytes, stride, computePer uint64, wri
 				m.Compute(computePer)
 			}
 		}
+	}
+}
+
+// livePairRange is StorePairRange's live path. It walks element runs:
+// a run ends where a's or b's line ends, or, while a PMU cycle event is
+// armed, before the first element whose access or compute tick would
+// reach the event, as in liveRange. When both lines are resident the
+// whole run hits, and Cache.AccessPairRun credits it in closed form.
+// Otherwise, and at an event, one element runs through the scalar path,
+// which owns every miss, interrupt and handler-driven eviction.
+func (m *Machine) livePairRange(a, b mem.Addr, bytes, stride, computePer uint64) {
+	if bytes == 0 {
+		return
+	}
+	if o := m.Obs; o != nil {
+		o.Batches.Inc()
+		o.BatchRefs.Add(2 * ((bytes + stride - 1) / stride))
+	}
+	lineSize := uint64(m.Cache.Config().LineSize)
+	cost := 2*m.Cost.HitCycles + computePer*m.Cost.ComputeCPI
+	insts := 2 + computePer
+	for off := uint64(0); off < bytes; {
+		if m.stopErr != nil {
+			return
+		}
+		if m.runCtx != nil && m.pollIn <= 0 {
+			m.pollCtx()
+		}
+		pa, pb := a+mem.Addr(off), b+mem.Addr(off)
+		room := min(lineSize-uint64(pa)&(lineSize-1), lineSize-uint64(pb)&(lineSize-1), bytes-off)
+		k := (room + stride - 1) / stride
+		if ev, armed := m.PMU.NextCycleEvent(); armed && m.Cycles+k*cost >= ev {
+			// Keep the elements whose ticks all land before the event;
+			// with none, the element holding the event's tick runs
+			// scalar.
+			k = 0
+			if ev > m.Cycles && cost > 0 {
+				k = (ev - m.Cycles - 1) / cost
+			}
+		}
+		if k == 0 || !m.Cache.AccessPairRun(pa, pb, k, true) {
+			m.access(pa, true)
+			m.access(pb, true)
+			if computePer > 0 {
+				m.Compute(computePer)
+			}
+			off += stride
+			continue
+		}
+		m.Insts += k * insts
+		if !m.inHandler {
+			m.AppInsts += k * insts
+		}
+		m.Cycles += k * cost
+		if m.runCtx != nil {
+			m.pollIn -= int(2 * k)
+		}
+		off += k * stride
 	}
 }
 

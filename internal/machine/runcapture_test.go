@@ -2,6 +2,7 @@ package machine
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"membottle/internal/cache"
@@ -439,6 +440,18 @@ func FuzzRunCaptureRangeMatchesFold(f *testing.F) {
 	})
 }
 
+// pairRefs materialises StorePairRange(a, b, bytes, stride, computePer)
+// as the Ref stream AccessBatch would take.
+func pairRefs(a, b mem.Addr, bytes, stride, computePer uint64) []Ref {
+	var refs []Ref
+	for off := uint64(0); off < bytes; off += stride {
+		refs = append(refs,
+			Ref{Addr: a + mem.Addr(off), Write: true},
+			Ref{Addr: b + mem.Addr(off), Write: true, Compute: computePer})
+	}
+	return refs
+}
+
 // firstDiff is the first index where a and b differ (len of the shorter
 // when one is a prefix of the other).
 func firstDiff(a, b []uint64) int {
@@ -447,4 +460,129 @@ func firstDiff(a, b []uint64) int {
 		i++
 	}
 	return i
+}
+
+// FuzzRunCapturePairMatchesFold is the exactness oracle for
+// StorePairRange's capture paths. One program — fill single-reference
+// runs far from both arrays (setting how full the entry buffer is),
+// preN loads on a's first line (a pending run carried in), the pair
+// range, then optionally a store of its last b element (extending the
+// run it left pending) — runs twice in run-capture mode: once through
+// StorePairRange and once with the call's references materialised and
+// fed through one AccessBatch. Both must agree on every entry, every
+// delivery's (entries, refs, writes, cyclesBefore) and the machine's
+// Cycles/Insts/AppInsts. The same program through a RefSink must
+// expand to the Refs, compute payloads included, that the AccessBatch
+// version delivers and to the reference stream a live machine's OnRef
+// hook sees, with delivery cycle stamps that add up to the machine's
+// clock. Inputs: line
+// size 32 to 128 bytes, a stride from 1 byte to three lines, a's offset
+// into its line, b within 1 MiB of a on either side (on a's line, one
+// stride past it, or below it), and up to 64 KiB per array.
+func FuzzRunCapturePairMatchesFold(f *testing.F) {
+	// lineSel, gap (b-a), stride, phase, bytes, computePer, preN, fill, tail
+	const far = 1 << 19
+	f.Add(uint8(1), int32(far), uint16(8), uint16(0), uint16(8192), uint8(4), uint16(5), uint16(0), true)        // pending run on a's line
+	f.Add(uint8(1), int32(far), uint16(8), uint16(0), uint16(8192), uint8(4), uint16(1), uint16(4095), false)    // one free slot
+	f.Add(uint8(1), int32(far), uint16(8), uint16(3), uint16(8192), uint8(0), uint16(0), uint16(4096), true)     // one free slot, no pending run
+	f.Add(uint8(1), int32(far+7), uint16(100), uint16(9), uint16(30000), uint8(1), uint16(0), uint16(0), false)  // stride above a line
+	f.Add(uint8(1), int32(far), uint16(8), uint16(0), uint16(8192), uint8(4), uint16(1), uint16(2049), false)    // the call's last entry fills the buffer
+	f.Add(uint8(1), int32(24), uint16(100), uint16(0), uint16(4096), uint8(1), uint16(0), uint16(0), false)      // b on a's line, stride above a line
+	f.Add(uint8(1), int32(24), uint16(8), uint16(0), uint16(4096), uint8(2), uint16(3), uint16(0), true)         // b on a's line
+	f.Add(uint8(1), int32(64), uint16(8), uint16(0), uint16(4096), uint8(2), uint16(0), uint16(0), false)        // b(i) on a(i+1)'s line
+	f.Add(uint8(1), int32(128), uint16(64), uint16(0), uint16(4096), uint8(0), uint16(0), uint16(0), true)       // b(i) a line past a(i+1)
+	f.Add(uint8(0), int32(-far), uint16(8), uint16(0), uint16(65535), uint8(3), uint16(300), uint16(2000), true) // b below a, four deliveries
+	f.Fuzz(func(t *testing.T, lineSel uint8, gap int32, stride, phase, bytes uint16, computePer uint8,
+		preN, fill uint16, tail bool) {
+		lineSize := uint64(32) << (lineSel % 3)
+		s := max(1, uint64(stride)%(3*lineSize+1))
+		n := uint64(bytes)
+		cp := uint64(computePer % 8)
+		pre := int(preN % 300)
+		fills := int(fill) % (2 * runBufEntries)
+		cfg := cache.Config{Size: 1 << 14, LineSize: int(lineSize), Assoc: 4}
+		a := mem.Addr(0x200_0000 + uint64(phase)%(2*lineSize))
+		b := mem.Addr(int64(a) + int64(gap%(1<<20)))
+
+		prog := func(m *Machine, call func()) {
+			for i := 0; i < fills; i++ {
+				m.Load(mem.Addr(0x10_0000 + uint64(i%2)*2*lineSize))
+			}
+			lineBase := a &^ mem.Addr(lineSize-1)
+			for i := 0; i < pre; i++ {
+				m.Load(lineBase + mem.Addr(uint64(i)%lineSize))
+			}
+			call()
+			if tail && n > 0 {
+				m.Store(b + mem.Addr((n-1)/s*s))
+			}
+			m.FlushCapture()
+		}
+		runCapture := func(pair bool) (*Machine, *runCollect) {
+			var rec runCollect
+			m := New(mem.NewSpace(), cache.New(cfg), pmu.New(0), DefaultCosts())
+			m.SetRunCapture(&rec)
+			prog(m, func() {
+				if pair {
+					m.StorePairRange(a, b, n, s, cp)
+					return
+				}
+				m.AccessBatch(pairRefs(a, b, n, s, cp))
+			})
+			return m, &rec
+		}
+		mp, got := runCapture(true)
+		mb, want := runCapture(false)
+		if !reflect.DeepEqual(got.entries, want.entries) {
+			t.Fatalf("entries diverge from AccessBatch: %d vs %d entries, first difference at %d",
+				len(got.entries), len(want.entries), firstDiff(got.entries, want.entries))
+		}
+		if !reflect.DeepEqual(got.tuples, want.tuples) {
+			t.Fatalf("deliveries diverge from AccessBatch:\n got %v\nwant %v", got.tuples, want.tuples)
+		}
+		if mp.Cycles != mb.Cycles || mp.Insts != mb.Insts || mp.AppInsts != mb.AppInsts {
+			t.Fatalf("charging diverged: cycles=%d insts=%d appinsts=%d, AccessBatch %d/%d/%d",
+				mp.Cycles, mp.Insts, mp.AppInsts, mb.Cycles, mb.Insts, mb.AppInsts)
+		}
+
+		type ref struct {
+			addr  mem.Addr
+			write bool
+		}
+		var log, batchLog deliveryLog
+		mc := New(mem.NewSpace(), cache.New(cfg), pmu.New(0), DefaultCosts())
+		mc.SetCapture(&log)
+		prog(mc, func() { mc.StorePairRange(a, b, n, s, cp) })
+		mcb := New(mem.NewSpace(), cache.New(cfg), pmu.New(0), DefaultCosts())
+		mcb.SetCapture(&batchLog)
+		prog(mcb, func() { mcb.AccessBatch(pairRefs(a, b, n, s, cp)) })
+		if !reflect.DeepEqual(slices.Concat(log.refs...), slices.Concat(batchLog.refs...)) {
+			t.Fatal("RefSink stream, payloads included, differs from AccessBatch's")
+		}
+		var seen []ref
+		ml := New(mem.NewSpace(), cache.New(cfg), pmu.New(0), DefaultCosts())
+		ml.OnRef = func(a mem.Addr, write bool) { seen = append(seen, ref{a, write}) }
+		prog(ml, func() { ml.StorePairRange(a, b, n, s, cp) })
+		var captured []ref
+		cyc := uint64(0)
+		for i, refs := range log.refs {
+			if log.cycles[i] != cyc {
+				t.Fatalf("delivery %d stamped %d cycles, its predecessors add up to %d", i, log.cycles[i], cyc)
+			}
+			for _, r := range refs {
+				captured = append(captured, ref{r.Addr, r.Write})
+				cyc += mc.Cost.HitCycles + r.Compute*mc.Cost.ComputeCPI
+			}
+		}
+		if cyc != mc.Cycles {
+			t.Fatalf("RefSink deliveries add up to %d cycles, the machine charged %d", cyc, mc.Cycles)
+		}
+		if !reflect.DeepEqual(captured, seen) {
+			t.Fatalf("RefSink stream (%d refs) differs from the OnRef stream (%d refs)", len(captured), len(seen))
+		}
+		if mc.Insts != ml.Insts || mc.AppInsts != ml.AppInsts {
+			t.Fatalf("RefSink capture counted %d/%d instructions, the live run %d/%d",
+				mc.Insts, mc.AppInsts, ml.Insts, ml.AppInsts)
+		}
+	})
 }

@@ -207,31 +207,25 @@ func storeSweep(base mem.Addr, size, cpe uint64) unit {
 	}}
 }
 
+// pairElems is the number of elements one pairSweep call to
+// StorePairRange covers: 2,048 stores. Run capture charges a call's
+// cycles after its entries, so this chunk size fixes the cycle stamps
+// of the deliveries the capture engines receive.
+const pairElems = 1024
+
 // pairSweep returns a unit sweeping the same segment of two arrays
 // element-by-element together (a(i) and b(i) in the same loop iteration),
 // producing strictly alternating cache misses between the two arrays —
-// the access structure behind tomcatv's RX/RY sampling resonance. The
-// interleaved stores are issued as reference batches with the per-element
-// computation attached to the second store of each pair, reproducing the
-// scalar Store/Store/Compute sequence exactly.
+// the access structure behind tomcatv's RX/RY sampling resonance. Each
+// chunk of pairElems elements is one StorePairRange call, which simulates
+// the scalar Store(a)/Store(b)/Compute sequence exactly.
 func pairSweep(a, b mem.Addr, size, cpe uint64) unit {
 	pos := new(uint64)
 	_ = segs(size)
-	batch := make([]mem.Ref, 0, 2048)
 	return unit{cursor: pos, run: func(m *machine.Machine) {
 		end := *pos + segBytes
-		for off := *pos; off < end; off += 8 {
-			batch = append(batch,
-				mem.Ref{Addr: a + mem.Addr(off), Write: true},
-				mem.Ref{Addr: b + mem.Addr(off), Write: true, Compute: cpe})
-			if len(batch) == cap(batch) {
-				m.AccessBatch(batch)
-				batch = batch[:0]
-			}
-		}
-		if len(batch) > 0 {
-			m.AccessBatch(batch)
-			batch = batch[:0]
+		for off := *pos; off < end; off += pairElems * 8 {
+			m.StorePairRange(a+mem.Addr(off), b+mem.Addr(off), min(pairElems*8, end-off), 8, cpe)
 		}
 		*pos = end % size
 	}}
