@@ -27,18 +27,14 @@ func main() {
 		app         = flag.String("app", "tomcatv", "application for the alignment/timeshare ablations")
 		csv         = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		paper       = flag.Bool("paper", false, "paper-fidelity parameters (slow)")
-		seqTruth    = flag.Bool("seq-truth", false, "force ground-truth runs onto the sequential engine (output is identical; only wall-clock differs)")
-		truthWkr    = flag.Int("truth-workers", 0, "worker count for the sharded ground-truth engine (0: GOMAXPROCS)")
 	)
 	flag.Parse()
 
 	opt := experiments.Options{
-		Paper:    *paper,
-		SeqTruth: *seqTruth,
+		Paper: *paper,
 		// Baseline plain runs repeat across the figures and ablations of
 		// one invocation; memoize them.
-		TruthCache:   experiments.NewTruthCache(),
-		TruthWorkers: *truthWkr,
+		TruthCache: experiments.NewTruthCache(),
 	}
 	if *apps != "" {
 		opt.Apps = strings.Split(*apps, ",")

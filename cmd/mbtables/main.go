@@ -47,8 +47,6 @@ func main() {
 		sanitize  = flag.Bool("sanitize", false, "enable the invariant sanitizer on every run (slower)")
 		faults    = flag.String("faults", "", "fault-injection spec, e.g. drop-miss=0.1,apps=tomcatv,seed=7")
 		retries   = flag.Int("retries", 0, "retries for cells that fail due to injected faults")
-		seqTruth  = flag.Bool("seq-truth", false, "force ground-truth runs onto the sequential engine (output is identical; only wall-clock differs)")
-		truthWkr  = flag.Int("truth-workers", 0, "worker count for the sharded ground-truth engine (0: GOMAXPROCS)")
 		intervals = flag.Bool("intervals", false, "print the representative-interval engine's error-bound report (after any selected table)")
 	)
 	obsFlags := obsio.Register(flag.CommandLine)
@@ -65,12 +63,10 @@ func main() {
 		Sanitize: *sanitize,
 		Retries:  *retries,
 		Ctx:      ctx,
-		SeqTruth: *seqTruth,
 		// Baseline plain runs repeat across tables and studies within one
 		// invocation; memoize them (results are deterministic and shared
 		// read-only).
-		TruthCache:   experiments.NewTruthCache(),
-		TruthWorkers: *truthWkr,
+		TruthCache: experiments.NewTruthCache(),
 	}
 	if *apps != "" {
 		opt.Apps = strings.Split(*apps, ",")

@@ -16,12 +16,9 @@
 // sorted by file, line, and column; -json emits a machine-readable
 // report instead. Exit status is 0 when the tree is clean, 1 when
 // findings were reported, and 2 when a package failed to load or
-// type-check.
-//
-// Suppress an individual finding with an inline directive on the same
-// line or the line above, always with a recorded reason:
-//
-//	//mb:ignore det-time progress reporting is wall-clock by design
+// type-check. There is no suppression directive; the packages that read
+// the wall clock by design are exempt from the determinism rules by path
+// (analysis.IsSimPackage).
 package main
 
 import (
@@ -37,7 +34,7 @@ import (
 // version identifies the analyzer build in CI logs. Bump when rules are
 // added or their semantics change, so a new failure in CI can be read
 // next to the analyzer change that caused it.
-const version = "mbvet 2.0.0 (6 rules)"
+const version = "mbvet 3.0.0 (5 rules)"
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")

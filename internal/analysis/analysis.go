@@ -7,9 +7,10 @@
 // Everything here is built on the standard library's go/parser, go/ast,
 // and go/types packages only (no x/tools), matching the repo's
 // stdlib-only rule. The suite keeps only rules with a record of catching
-// real bugs: determinism (det-*), error conventions (err-*), and
-// mb-directive for malformed //mb: comments. See the Rules table for the
-// catalog.
+// real bugs: determinism (det-*) and error conventions (err-*). See the
+// Rules table for the catalog. There is no suppression directive; the
+// packages that read the wall clock by design are exempt from the
+// determinism rules by path (IsSimPackage).
 package analysis
 
 import (
@@ -54,17 +55,6 @@ var Rules = []Rule{
 	{"det-time", "wall-clock read in a simulation package breaks run-to-run determinism"},
 	{"err-cmp", "sentinel error compared with == or !=; errors.Is also matches wrapped errors"},
 	{"err-wrap", "error formatted with %v/%s/%q loses the chain; wrap with %w"},
-	{"mb-directive", "malformed //mb: directive"},
-}
-
-// KnownRule reports whether id names a rule in the catalog.
-func KnownRule(id string) bool {
-	for _, r := range Rules {
-		if r.ID == id {
-			return true
-		}
-	}
-	return false
 }
 
 // wallClockPackages lists the module-relative package paths (and their
@@ -139,12 +129,11 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
 		ErrConvAnalyzer,
-		DirectiveAnalyzer,
 	}
 }
 
-// Analyze runs the whole suite over one loaded package and returns the
-// findings that survive //mb:ignore suppression.
+// Analyze runs the whole suite over one loaded package and returns its
+// findings.
 func Analyze(pkg *Package) []Finding {
 	pass := &Pass{
 		Fset:       pkg.Fset,
@@ -157,11 +146,11 @@ func Analyze(pkg *Package) []Finding {
 	for _, a := range Analyzers() {
 		a.Run(pass)
 	}
-	return applyIgnores(pass)
+	return pass.findings
 }
 
 // AnalyzeAll runs the suite over every loaded package and returns all
-// surviving findings sorted by file, line, column, and rule.
+// findings sorted by file, line, column, and rule.
 func AnalyzeAll(pkgs []*Package) []Finding {
 	var findings []Finding
 	for _, pkg := range pkgs {

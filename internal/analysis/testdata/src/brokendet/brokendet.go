@@ -67,21 +67,3 @@ func Tally(m map[string]int) map[int]string {
 	}
 	return inv
 }
-
-// Allowed documents a justified suppression; silent.
-func Allowed() int64 {
-	//mb:ignore det-time fixture demonstrates a justified suppression
-	return time.Now().Unix()
-}
-
-// MissingReason carries a directive with no reason. (mb-directive)
-// Note the det-time finding underneath is NOT suppressed by it.
-func MissingReason() int64 {
-	//mb:ignore det-time
-	return time.Now().Unix()
-}
-
-// UnknownRule names a rule that does not exist. (mb-directive)
-func UnknownRule() {
-	//mb:ignore no-such-rule the catalog has no such ID
-}

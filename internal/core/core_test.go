@@ -279,7 +279,7 @@ func TestSamplerResonance(t *testing.T) {
 			interleave: true,
 		}
 		m, om := rig(w, 0)
-		s := NewSampler(SamplerConfig{Interval: 1000, Mode: mode, Seed: 3, StateLines: 24})
+		s := NewSampler(SamplerConfig{Interval: 1000, Mode: mode, Seed: 3})
 		if err := s.Install(m, om); err != nil {
 			t.Fatal(err)
 		}

@@ -38,61 +38,45 @@ func (m IntervalMode) String() string {
 	}
 }
 
-// SamplerConfig configures the miss-address sampling technique.
+// The sampler's fixed parameters.
+const (
+	// samplerStateLines is the number of cache lines of handler state
+	// touched on every interrupt (trap frame, saved registers, profiler
+	// root). 24 lines (~1.5 KB) model a realistic signal-handler
+	// footprint.
+	samplerStateLines = 24
+	// samplerSpareObjects is the room the shadow object table leaves
+	// beyond the objects present at install time, for later heap
+	// allocations.
+	samplerSpareObjects = 1024
+	// samplerHandlerCompute is the fixed compute-instruction cost charged
+	// per sample on top of memory accesses.
+	samplerHandlerCompute = 60
+	// samplerAutoTuneEvery is the number of samples between tuning
+	// decisions (TargetOverheadPct only).
+	samplerAutoTuneEvery = 32
+	// samplerMinInterval bounds auto-tuning from below.
+	samplerMinInterval = 100
+)
+
+// SamplerConfig configures the miss-address sampling technique. The
+// remaining parameters are the package constants above.
 type SamplerConfig struct {
 	// Interval is the number of cache misses between samples (the paper
-	// evaluates 1,000 to 1,000,000; Table 1 uses 50,000).
+	// evaluates 1,000 to 1,000,000; Table 1 uses 50,000). Default 50,000.
 	Interval uint64
 	// Mode selects fixed, prime, or pseudo-random spacing.
 	Mode IntervalMode
 	// Seed drives the random mode's generator.
 	Seed int64
-	// StateLines is the number of cache lines of handler state touched on
-	// every interrupt (trap frame, saved registers, profiler root). The
-	// default of 24 lines (~1.5 KB) models a realistic signal-handler
-	// footprint.
-	StateLines int
-	// MaxObjects caps the shadow object table. Defaults to the number of
-	// objects at install time plus room for later heap allocations.
-	MaxObjects int
-	// HandlerCompute is the fixed compute-instruction cost charged per
-	// sample on top of memory accesses. Default 60.
-	HandlerCompute uint64
 	// TargetOverheadPct, if nonzero, auto-tunes the sampling interval so
 	// the handler consumes roughly this percentage of total cycles — the
 	// paper's §5 proposal to adjust the "arbitrarily chosen" sampling
 	// frequency automatically "in order to achieve greater accuracy and
-	// efficiency". The interval is re-evaluated every AutoTuneEvery
-	// samples and never drops below MinInterval.
+	// efficiency". The interval is re-evaluated every
+	// samplerAutoTuneEvery (32) samples and never drops below
+	// samplerMinInterval (100).
 	TargetOverheadPct float64
-	// AutoTuneEvery is the number of samples between tuning decisions.
-	// Default 32.
-	AutoTuneEvery uint64
-	// MinInterval bounds auto-tuning from below. Default 100.
-	MinInterval uint64
-}
-
-// withDefaults fills zero fields.
-func (c SamplerConfig) withDefaults(om *objmap.Map) SamplerConfig {
-	if c.Interval == 0 {
-		c.Interval = 50_000
-	}
-	if c.StateLines == 0 {
-		c.StateLines = 24
-	}
-	if c.MaxObjects == 0 {
-		c.MaxObjects = om.Len() + 1024
-	}
-	if c.HandlerCompute == 0 {
-		c.HandlerCompute = 60
-	}
-	if c.AutoTuneEvery == 0 {
-		c.AutoTuneEvery = 32
-	}
-	if c.MinInterval == 0 {
-		c.MinInterval = 100
-	}
-	return c
 }
 
 // Sampler implements cache-miss address sampling (§2.1): associate a count
@@ -145,22 +129,25 @@ func (s *Sampler) Install(m *machine.Machine, om *objmap.Map) error {
 	if s.installed {
 		return fmt.Errorf("core: sampler already installed")
 	}
-	s.cfg = s.cfg.withDefaults(om)
+	if s.cfg.Interval == 0 {
+		s.cfg.Interval = 50_000
+	}
 	s.om = om
 	s.rng = rand.New(rand.NewSource(s.cfg.Seed))
 	s.counts = make([]uint64, om.Len())
 
 	arena := shadow.NewArena(m.Space)
 	var err error
-	if s.state, err = shadow.NewState(arena, s.cfg.StateLines, m.Cache.Config().LineSize); err != nil {
+	if s.state, err = shadow.NewState(arena, samplerStateLines, m.Cache.Config().LineSize); err != nil {
 		return err
 	}
+	maxObjects := uint64(om.Len() + samplerSpareObjects)
 	// One 32-byte extent record per object in the shadow map...
-	if s.objTable, err = arena.Array(uint64(s.cfg.MaxObjects), 32); err != nil {
+	if s.objTable, err = arena.Array(maxObjects, 32); err != nil {
 		return err
 	}
 	// ...and one 8-byte counter per object.
-	if s.countArr, err = arena.Array(uint64(s.cfg.MaxObjects), 8); err != nil {
+	if s.countArr, err = arena.Array(maxObjects, 8); err != nil {
 		return err
 	}
 
@@ -214,7 +201,7 @@ func (s *Sampler) handle(m *machine.Machine) {
 
 	// Entry/exit footprint: trap frame and profiler state.
 	s.state.Touch(m)
-	m.Compute(s.cfg.HandlerCompute)
+	m.Compute(samplerHandlerCompute)
 
 	obj := s.om.Lookup(addr)
 
@@ -262,12 +249,12 @@ func (s *Sampler) handle(m *machine.Machine) {
 
 // tuneDue schedules tuning decisions: at the early power-of-two sample
 // counts (4, 8, 16, ...) so a badly misconfigured interval is corrected
-// quickly, then every AutoTuneEvery samples.
+// quickly, then every samplerAutoTuneEvery samples.
 func (s *Sampler) tuneDue() bool {
-	if s.samples%s.cfg.AutoTuneEvery == 0 {
+	if s.samples%samplerAutoTuneEvery == 0 {
 		return true
 	}
-	return s.samples >= 4 && s.samples < s.cfg.AutoTuneEvery && s.samples&(s.samples-1) == 0
+	return s.samples >= 4 && s.samples < samplerAutoTuneEvery && s.samples&(s.samples-1) == 0
 }
 
 // autoTune solves directly for the interval that would spend the target
@@ -282,8 +269,8 @@ func (s *Sampler) autoTune(m *machine.Machine) {
 	r := float64(m.PMU.GlobalMisses) / float64(m.Cycles)
 	ideal := 100 * r * h / s.cfg.TargetOverheadPct
 	next := uint64(ideal)
-	if next < s.cfg.MinInterval {
-		next = s.cfg.MinInterval
+	if next < samplerMinInterval {
+		next = samplerMinInterval
 	}
 	// Preserve resonance protection: an auto-chosen interval must not
 	// trade the prime-spacing guarantee away for a round number.

@@ -11,26 +11,56 @@ import (
 	"membottle/internal/shadow"
 )
 
-// SearchConfig configures the n-way search technique (§2.2).
+// The search's fixed parameters. The paper leaves them "arbitrarily
+// chosen" (§5); the adaptive knobs that answer that criticism are
+// SearchConfig.TargetMissesPerInterval and SamplerConfig.TargetOverheadPct.
+const (
+	// searchIntervalGrowth is the factor applied to the interval each
+	// time a zero-miss region is retained by the phase heuristic.
+	searchIntervalGrowth = 1.5
+	// searchResidualPct terminates the search when the regions still
+	// containing multiple objects account for less than this percentage
+	// of misses ("the percentage of cache misses within unsearched
+	// regions drops below a selectable threshold").
+	searchResidualPct = 1.0
+	// searchPhasePatience is how many consecutive zero-miss intervals a
+	// previously top-ranked region survives before being discarded.
+	searchPhasePatience = 3
+	// searchMaxIterations bounds the search as a safety net.
+	searchMaxIterations = 100_000
+	// searchFinalPasses is the number of extra measurement intervals
+	// taken over exactly the found objects' extents after the search
+	// terminates, to refine the reported percentages.
+	searchFinalPasses = 6
+	// searchFinalIntervalFactor stretches the measurement interval during
+	// the final estimation passes. Long final intervals average over the
+	// application's sweep schedule (and across its phases), so the
+	// reported percentages converge on the true shares.
+	searchFinalIntervalFactor = 12
+	// searchMaxIntervalFactor caps phase-driven interval growth at this
+	// multiple of the initial interval, so a few persistently idle
+	// regions cannot stall the search.
+	searchMaxIntervalFactor = 16
+	// searchRetireAfter is the number of measurements before a found
+	// region is retired (RetireFound only).
+	searchRetireAfter = 3
+	// searchStateLines is the per-interrupt handler state footprint in
+	// cache lines.
+	searchStateLines = 32
+)
+
+// SearchConfig configures the n-way search technique (§2.2). The
+// remaining parameters are the package constants above; the smallest
+// splittable region is one cache line.
 type SearchConfig struct {
 	// N is the number of region cache-miss counters (the paper evaluates
-	// n=10 and n=2; one additional global counter is implicit).
+	// n=10 and n=2; one additional global counter is implicit). Default
+	// 10; the search needs at least 2.
 	N int
 	// Interval is the initial length of a measurement iteration in
-	// virtual cycles. The phase heuristic may stretch it.
+	// virtual cycles. The phase heuristic may stretch it. Default
+	// 8,000,000.
 	Interval uint64
-	// IntervalGrowth is the factor applied to the interval each time a
-	// zero-miss region is retained by the phase heuristic. Default 1.5.
-	IntervalGrowth float64
-	// ResidualPct terminates the search when the regions still containing
-	// multiple objects account for less than this percentage of misses
-	// ("the percentage of cache misses within unsearched regions drops
-	// below a selectable threshold"). Default 1.0.
-	ResidualPct float64
-	// PhasePatience is how many consecutive zero-miss intervals a
-	// previously top-ranked region survives before being discarded.
-	// Default 3.
-	PhasePatience int
 	// NoPhaseHandling disables the zero-miss retention heuristic
 	// (ablation: the applu phase study).
 	NoPhaseHandling bool
@@ -41,88 +71,26 @@ type SearchConfig struct {
 	// NoAlignSplits disables object-boundary alignment of split points
 	// (ablation: the naive splitting the paper warns about).
 	NoAlignSplits bool
-	// MaxIterations bounds the search as a safety net. Default 100000.
-	MaxIterations int
-	// FinalPasses is the number of extra measurement intervals taken over
-	// exactly the found objects' extents after the search terminates, to
-	// refine the reported percentages. Default 6.
-	FinalPasses int
-	// FinalIntervalFactor stretches the measurement interval during the
-	// final estimation passes. Long final intervals average over the
-	// application's sweep schedule (and across its phases), so the
-	// reported percentages converge on the true shares. Default 12.
-	FinalIntervalFactor uint64
-	// MaxIntervalFactor caps phase-driven interval growth at this
-	// multiple of the initial interval, so a few persistently idle
-	// regions cannot stall the search. Default 16.
-	MaxIntervalFactor uint64
 	// RetireFound implements the improvement the paper's conclusion
 	// suggests for the search's n-1 result limit: "returning to search
 	// previously discarded areas after the ones causing the most cache
 	// misses have been examined fully." A single-object region that has
-	// been measured RetireAfter times is retired from the priority queue,
-	// freeing its counter to keep refining the remaining address space,
-	// so the search can report more objects than it has counters.
+	// been measured searchRetireAfter (3) times is retired from the
+	// priority queue, freeing its counter to keep refining the remaining
+	// address space, so the search can report more objects than it has
+	// counters.
 	RetireFound bool
-	// RetireAfter is the number of measurements before a found region is
-	// retired (RetireFound only). Default 3.
-	RetireAfter int
 	// TargetMissesPerInterval, if nonzero, adapts the iteration length so
 	// each interval observes roughly this many cache misses — the paper's
 	// §5 plan to adjust "the length of a search iteration" automatically
 	// instead of choosing it per application. Adaptation is bounded to
-	// [Interval/4, Interval*MaxIntervalFactor] and at most doubles or
-	// halves per step.
+	// [Interval/4, Interval*searchMaxIntervalFactor] and at most doubles
+	// or halves per step.
 	TargetMissesPerInterval uint64
 	// RecordHistory keeps a per-iteration snapshot of the measured
 	// regions and their shares, enabling Figure 1-style progress traces
 	// of how the search narrows through the address space.
 	RecordHistory bool
-	// StateLines is the per-interrupt handler state footprint. Default 32.
-	StateLines int
-	// MinRegionBytes is the smallest splittable region. Defaults to the
-	// cache line size.
-	MinRegionBytes uint64
-}
-
-func (c SearchConfig) withDefaults(lineSize int) SearchConfig {
-	if c.N == 0 {
-		c.N = 10
-	}
-	if c.Interval == 0 {
-		c.Interval = 8_000_000
-	}
-	if c.IntervalGrowth == 0 {
-		c.IntervalGrowth = 1.5
-	}
-	if c.ResidualPct == 0 {
-		c.ResidualPct = 1.0
-	}
-	if c.PhasePatience == 0 {
-		c.PhasePatience = 3
-	}
-	if c.MaxIterations == 0 {
-		c.MaxIterations = 100_000
-	}
-	if c.FinalPasses == 0 {
-		c.FinalPasses = 6
-	}
-	if c.FinalIntervalFactor == 0 {
-		c.FinalIntervalFactor = 12
-	}
-	if c.MaxIntervalFactor == 0 {
-		c.MaxIntervalFactor = 16
-	}
-	if c.RetireAfter == 0 {
-		c.RetireAfter = 3
-	}
-	if c.StateLines == 0 {
-		c.StateLines = 32
-	}
-	if c.MinRegionBytes == 0 {
-		c.MinRegionBytes = uint64(lineSize)
-	}
-	return c
 }
 
 // Search implements the n-way search for memory bottlenecks. The address
@@ -134,6 +102,13 @@ type Search struct {
 	cfg SearchConfig
 	om  *objmap.Map
 	m   *machine.Machine
+
+	// Limits copied from the package constants by NewSearch; tests lower
+	// them before Install to reach the limits quickly.
+	maxIterations     int
+	finalPasses       int
+	maxIntervalFactor uint64
+	minRegionBytes    uint64 // the cache line size, set by Install
 
 	pq        regionPQ
 	measuring []*Region
@@ -163,7 +138,12 @@ type Search struct {
 
 // NewSearch returns an uninstalled search profiler.
 func NewSearch(cfg SearchConfig) *Search {
-	return &Search{cfg: cfg}
+	return &Search{
+		cfg:               cfg,
+		maxIterations:     searchMaxIterations,
+		finalPasses:       searchFinalPasses,
+		maxIntervalFactor: searchMaxIntervalFactor,
+	}
 }
 
 // Iterations returns the number of measurement intervals completed.
@@ -192,17 +172,27 @@ func (s *Search) Install(m *machine.Machine, om *objmap.Map) error {
 	if s.installed {
 		return fmt.Errorf("core: search already installed")
 	}
-	s.cfg = s.cfg.withDefaults(m.Cache.Config().LineSize)
+	if s.cfg.N == 0 {
+		s.cfg.N = 10
+	}
+	if s.cfg.Interval == 0 {
+		s.cfg.Interval = 8_000_000
+	}
+	if s.cfg.N < 2 {
+		return fmt.Errorf("core: search needs at least 2 region counters, got N=%d", s.cfg.N)
+	}
 	if m.PMU.NumCounters() < s.cfg.N {
 		return fmt.Errorf("core: search needs %d region counters, PMU has %d", s.cfg.N, m.PMU.NumCounters())
 	}
+	lineSize := m.Cache.Config().LineSize
 	s.m = m
 	s.om = om
 	s.interval = s.cfg.Interval
+	s.minRegionBytes = uint64(lineSize)
 
 	arena := shadow.NewArena(m.Space)
 	var err error
-	if s.state, err = shadow.NewState(arena, s.cfg.StateLines, m.Cache.Config().LineSize); err != nil {
+	if s.state, err = shadow.NewState(arena, searchStateLines, lineSize); err != nil {
 		return err
 	}
 	if s.counterArr, err = arena.Array(uint64(s.cfg.N), 16); err != nil {
@@ -391,7 +381,7 @@ func (s *Search) iterate(m *machine.Machine) {
 			// with RetireFound, set it aside once measured enough so its
 			// counter can go explore the rest of the address space.
 			r.record(pct)
-			if s.cfg.RetireFound && r.nMeasured >= s.cfg.RetireAfter {
+			if s.cfg.RetireFound && r.nMeasured >= searchRetireAfter {
 				s.retired = append(s.retired, r)
 				m.Compute(24)
 			} else {
@@ -401,7 +391,7 @@ func (s *Search) iterate(m *machine.Machine) {
 			r.lastPct = pct
 			r.zeroStreak = 0
 			s.pqPush(m, r)
-		case !s.cfg.NoPhaseHandling && r.wasTop && r.hasObjects && r.zeroStreak < s.cfg.PhasePatience:
+		case !s.cfg.NoPhaseHandling && r.wasTop && r.hasObjects && r.zeroStreak < searchPhasePatience:
 			// Phase heuristic: a previously top-ranked region showing no
 			// misses is retained with its old score, and future intervals
 			// are lengthened (once per iteration) to cover multiple phases.
@@ -426,7 +416,7 @@ func (s *Search) iterate(m *machine.Machine) {
 
 // adaptInterval rescales the iteration length toward the configured
 // misses-per-interval target, bounded to a factor of two per step and to
-// [Interval/4, Interval*MaxIntervalFactor] overall.
+// [Interval/4, Interval*maxIntervalFactor] overall.
 func (s *Search) adaptInterval(delta uint64) {
 	target := s.cfg.TargetMissesPerInterval
 	next := s.interval
@@ -442,7 +432,7 @@ func (s *Search) adaptInterval(delta uint64) {
 	if min := s.cfg.Interval / 4; next < min {
 		next = min
 	}
-	if max := s.cfg.Interval * s.cfg.MaxIntervalFactor; next > max {
+	if max := s.cfg.Interval * s.maxIntervalFactor; next > max {
 		next = max
 	}
 	s.interval = next
@@ -451,11 +441,11 @@ func (s *Search) adaptInterval(delta uint64) {
 // growInterval lengthens future measurement intervals, capped so that
 // persistently idle regions cannot stall the search indefinitely.
 func (s *Search) growInterval() {
-	grown := uint64(float64(s.interval) * s.cfg.IntervalGrowth)
+	grown := uint64(float64(s.interval) * searchIntervalGrowth)
 	if grown <= s.interval {
 		grown = s.interval + 1
 	}
-	if cap := s.cfg.Interval * s.cfg.MaxIntervalFactor; grown > cap {
+	if cap := s.cfg.Interval * s.maxIntervalFactor; grown > cap {
 		grown = cap
 	}
 	if grown > s.interval {
@@ -485,7 +475,7 @@ func (s *Search) checkTermination(m *machine.Machine) bool {
 		s.beginFinalize(m)
 		return true
 	}
-	if s.iterations >= s.cfg.MaxIterations {
+	if s.iterations >= s.maxIterations {
 		s.beginFinalize(m)
 		return true
 	}
@@ -515,7 +505,7 @@ func (s *Search) checkTermination(m *machine.Machine) bool {
 			residual += r.Score()
 		}
 	}
-	if residual < s.cfg.ResidualPct {
+	if residual < searchResidualPct {
 		s.beginFinalize(m)
 		return true
 	}
@@ -556,7 +546,7 @@ func (s *Search) selectAndSplit(m *machine.Machine) {
 
 // splittable reports whether a region can usefully be halved.
 func (s *Search) splittable(r *Region) bool {
-	return r.Obj == nil && r.Span() > s.cfg.MinRegionBytes
+	return r.Obj == nil && r.Span() > s.minRegionBytes
 }
 
 // split halves a region at an object-aligned point and classifies the two
@@ -647,7 +637,7 @@ func (s *Search) greedyStep(m *machine.Machine, counts []uint64, delta uint64) {
 	s.measuring = parts
 	s.program()
 	s.rearm(m)
-	if s.iterations >= s.cfg.MaxIterations {
+	if s.iterations >= s.maxIterations {
 		s.results = s.collectGreedyResults()
 		s.beginFinalize(m)
 	}
@@ -677,17 +667,17 @@ func (s *Search) beginFinalize(m *machine.Machine) {
 		s.results = s.collectResults()
 	}
 	s.finalizing = true
-	if len(s.results) == 0 || s.cfg.FinalPasses == 0 {
+	if len(s.results) == 0 {
 		s.finish(m)
 		return
 	}
 	batches := (len(s.results) + s.cfg.N - 1) / s.cfg.N
-	s.finalLeft = s.cfg.FinalPasses
+	s.finalLeft = s.finalPasses
 	if s.finalLeft < batches {
 		s.finalLeft = batches
 	}
 	s.finalBatch = 0
-	s.interval = s.cfg.Interval * s.cfg.FinalIntervalFactor
+	s.interval = s.cfg.Interval * searchFinalIntervalFactor
 	// Demote each region's search-phase average to a fallback (AvgPct
 	// falls back to lastPct when no final sample lands) and restart the
 	// running averages for the long-interval passes.

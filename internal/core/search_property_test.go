@@ -106,11 +106,16 @@ func TestSearchZeroMissApplication(t *testing.T) {
 }
 
 func TestSearchMaxIterationsTerminates(t *testing.T) {
-	s, _, _ := runSearchOn(t, stdWorkload(), SearchConfig{
-		N: 2, Interval: 200_000, MaxIterations: 2, FinalPasses: 1,
-	}, 30_000_000)
+	w := stdWorkload()
+	m, om := rig(w, 2)
+	s := NewSearch(SearchConfig{N: 2, Interval: 200_000})
+	s.maxIterations, s.finalPasses = 2, 1
+	if err := s.Install(m, om); err != nil {
+		t.Fatal(err)
+	}
+	m.Run(w, 30_000_000)
 	if !s.Done() {
-		t.Fatal("search did not stop at MaxIterations")
+		t.Fatal("search did not stop at maxIterations")
 	}
 	if s.Iterations() > 2+1+1 { // 2 search + up to finalize steps
 		t.Fatalf("ran %d iterations", s.Iterations())
@@ -119,28 +124,45 @@ func TestSearchMaxIterationsTerminates(t *testing.T) {
 
 func TestSearchIntervalGrowthCapped(t *testing.T) {
 	// A phased workload that goes quiet retains regions and stretches the
-	// interval, but never past MaxIntervalFactor times the initial value.
+	// interval, but never past maxIntervalFactor times the initial value.
 	w := &phased{
 		sweeps:   sweeps{names: []string{"A", "B", "C"}, weights: []int{1, 1, 1}, size: 128 << 10},
 		phaseLen: 2,
 	}
-	cfg := SearchConfig{N: 4, Interval: 100_000, MaxIntervalFactor: 8}
+	cfg := SearchConfig{N: 4, Interval: 100_000}
 	m, om := rig(w, 4)
 	s := NewSearch(cfg)
+	s.maxIntervalFactor = 8
 	if err := s.Install(m, om); err != nil {
 		t.Fatal(err)
 	}
 	m.Run(w, 40_000_000)
-	// The finalize phase legitimately uses Interval*FinalIntervalFactor;
+	// The finalize phase legitimately uses Interval*searchFinalIntervalFactor;
 	// before that, growth must respect the cap. Since we cannot observe
 	// mid-run here, assert the final interval is within the larger of the
 	// two bounds.
-	bound := cfg.Interval * 12 // default FinalIntervalFactor
-	if cap := cfg.Interval * cfg.MaxIntervalFactor; cap > bound {
+	bound := cfg.Interval * searchFinalIntervalFactor
+	if cap := cfg.Interval * s.maxIntervalFactor; cap > bound {
 		bound = cap
 	}
 	if s.Interval() > bound {
 		t.Fatalf("interval %d exceeds both caps (%d)", s.Interval(), bound)
+	}
+}
+
+// TestSearchRejectsTooFewCounters: with fewer than two counters the
+// search cannot split a region, so Install must refuse rather than report
+// a one-iteration "convergence" that finds nothing.
+func TestSearchRejectsTooFewCounters(t *testing.T) {
+	for _, n := range []int{1, -3} {
+		m, om := rig(stdWorkload(), 10)
+		s := NewSearch(SearchConfig{N: n})
+		if err := s.Install(m, om); err == nil {
+			t.Errorf("N=%d: Install succeeded", n)
+		}
+		if lo, hi := m.Space.ShadowExtent(); m.TimerHandler != nil || hi != lo {
+			t.Errorf("N=%d: Install changed the machine before failing", n)
+		}
 	}
 }
 

@@ -114,59 +114,6 @@ func (t *Tree) FindWithCost(a mem.Addr) (base mem.Addr, size uint64, v Value, de
 	return best.base, best.size, best.value, depth, true
 }
 
-// Floor returns the block with the greatest base <= a, regardless of
-// whether its extent covers a. Used by region splitting to align split
-// points to block boundaries.
-func (t *Tree) Floor(a mem.Addr) (base mem.Addr, size uint64, ok bool) {
-	n := t.floor(a)
-	if n == nil {
-		return 0, 0, false
-	}
-	return n.base, n.size, true
-}
-
-// Ceiling returns the block with the smallest base >= a.
-func (t *Tree) Ceiling(a mem.Addr) (base mem.Addr, size uint64, ok bool) {
-	var best *node
-	n := t.root
-	for n != nil {
-		if n.base >= a {
-			best = n
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	if best == nil {
-		return 0, 0, false
-	}
-	return best.base, best.size, true
-}
-
-// Min returns the lowest block in the tree.
-func (t *Tree) Min() (base mem.Addr, size uint64, ok bool) {
-	if t.root == nil {
-		return 0, 0, false
-	}
-	n := t.root
-	for n.left != nil {
-		n = n.left
-	}
-	return n.base, n.size, true
-}
-
-// Max returns the highest block in the tree.
-func (t *Tree) Max() (base mem.Addr, size uint64, ok bool) {
-	if t.root == nil {
-		return 0, 0, false
-	}
-	n := t.root
-	for n.right != nil {
-		n = n.right
-	}
-	return n.base, n.size, true
-}
-
 // Ascend calls fn for every block in increasing base order until fn
 // returns false.
 func (t *Tree) Ascend(fn func(base mem.Addr, size uint64, v Value) bool) {

@@ -17,12 +17,6 @@ func TestEmptyTree(t *testing.T) {
 	if _, _, _, ok := tr.Find(100); ok {
 		t.Fatal("Find on empty tree succeeded")
 	}
-	if _, _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree succeeded")
-	}
-	if _, _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty tree succeeded")
-	}
 	if tr.Delete(5) {
 		t.Fatal("Delete on empty tree reported success")
 	}
@@ -113,31 +107,6 @@ func TestDelete(t *testing.T) {
 	}
 	if msg := tr.checkInvariants(); msg != "" {
 		t.Fatalf("invariant violated after deletes: %s", msg)
-	}
-}
-
-func TestFloorCeiling(t *testing.T) {
-	var tr Tree
-	for _, b := range []mem.Addr{0x100, 0x300, 0x500} {
-		tr.Insert(b, 0x10, nil)
-	}
-	if b, _, ok := tr.Floor(0x2ff); !ok || b != 0x100 {
-		t.Fatalf("Floor(0x2ff) = %#x,%v", uint64(b), ok)
-	}
-	if b, _, ok := tr.Floor(0x300); !ok || b != 0x300 {
-		t.Fatalf("Floor(0x300) = %#x,%v", uint64(b), ok)
-	}
-	if _, _, ok := tr.Floor(0xff); ok {
-		t.Fatal("Floor below min succeeded")
-	}
-	if b, _, ok := tr.Ceiling(0x301); !ok || b != 0x500 {
-		t.Fatalf("Ceiling(0x301) = %#x,%v", uint64(b), ok)
-	}
-	if b, _, ok := tr.Ceiling(0); !ok || b != 0x100 {
-		t.Fatalf("Ceiling(0) = %#x,%v", uint64(b), ok)
-	}
-	if _, _, ok := tr.Ceiling(0x501); ok {
-		t.Fatal("Ceiling above max succeeded")
 	}
 }
 
@@ -232,8 +201,8 @@ func TestInvariantsUnderChurn(t *testing.T) {
 	}
 }
 
-// TestAgainstReferenceModel compares the tree against a sorted-slice model
-// over a random workload: Find, Floor, Ceiling must agree exactly.
+// TestAgainstReferenceModel compares the tree against a map model over a
+// random workload: Find must agree exactly.
 func TestAgainstReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	var tr Tree
@@ -244,16 +213,6 @@ func TestAgainstReferenceModel(t *testing.T) {
 		found := false
 		for b := range model {
 			if b <= a && (!found || b > best) {
-				best, found = b, true
-			}
-		}
-		return best, found
-	}
-	refCeiling := func(a mem.Addr) (mem.Addr, bool) {
-		var best mem.Addr
-		found := false
-		for b := range model {
-			if b >= a && (!found || b < best) {
 				best, found = b, true
 			}
 		}
@@ -281,28 +240,13 @@ func TestAgainstReferenceModel(t *testing.T) {
 			}
 		case 3:
 			a := mem.Addr(rng.Intn(4096*0x100 + 0x200))
-			gotB, gotOK := func() (mem.Addr, bool) {
-				b, _, ok := tr.Floor(a)
-				return b, ok
-			}()
-			wantB, wantOK := refFloor(a)
-			if gotOK != wantOK || (gotOK && gotB != wantB) {
-				t.Fatalf("step %d: Floor(%#x) = %#x,%v want %#x,%v", step, uint64(a), uint64(gotB), gotOK, uint64(wantB), wantOK)
-			}
-			gotB, gotOK = func() (mem.Addr, bool) {
-				b, _, ok := tr.Ceiling(a)
-				return b, ok
-			}()
-			wantB, wantOK = refCeiling(a)
-			if gotOK != wantOK || (gotOK && gotB != wantB) {
-				t.Fatalf("step %d: Ceiling(%#x) = %#x,%v want %#x,%v", step, uint64(a), uint64(gotB), gotOK, uint64(wantB), wantOK)
-			}
 			// stabbing query
 			fb, fOK := refFloor(a)
 			wantFind := fOK && a < fb+mem.Addr(model[fb])
-			_, _, _, ok := tr.Find(a)
-			if ok != wantFind {
-				t.Fatalf("step %d: Find(%#x) ok=%v want %v", step, uint64(a), ok, wantFind)
+			b, size, _, ok := tr.Find(a)
+			if ok != wantFind || (ok && (b != fb || size != model[fb])) {
+				t.Fatalf("step %d: Find(%#x) = %#x,%d,%v want %#x,%d,%v", step, uint64(a),
+					uint64(b), size, ok, uint64(fb), model[fb], wantFind)
 			}
 		}
 	}

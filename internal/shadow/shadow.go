@@ -58,13 +58,6 @@ func (ar Array) Load(m *machine.Machine, i uint64) { m.Load(ar.Addr(i)) }
 // Store charges a simulated write of element i.
 func (ar Array) Store(m *machine.Machine, i uint64) { m.Store(ar.Addr(i)) }
 
-// TouchAll loads every element once (e.g. a counter readout sweep).
-func (ar Array) TouchAll(m *machine.Machine) {
-	for i := uint64(0); i < ar.n; i++ {
-		m.Load(ar.Addr(i))
-	}
-}
-
 // State models the fixed per-interrupt footprint of instrumentation
 // entry/exit: the signal trap frame, saved registers, and the profiler's
 // root structure. Touching it on every interrupt is what makes additional

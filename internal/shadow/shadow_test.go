@@ -73,23 +73,6 @@ func TestArrayAccessesChargeMachine(t *testing.T) {
 	}
 }
 
-func TestTouchAll(t *testing.T) {
-	m := newMachine()
-	a := NewArena(m.Space)
-	arr, _ := a.Array(16, 64)
-	arr.TouchAll(m)
-	if m.Cache.Stats.Accesses() != 16 {
-		t.Fatalf("accesses = %d", m.Cache.Stats.Accesses())
-	}
-	if m.Cache.Stats.Misses != 16 {
-		t.Fatalf("cold misses = %d", m.Cache.Stats.Misses)
-	}
-	arr.TouchAll(m)
-	if m.Cache.Stats.Misses != 16 {
-		t.Fatal("second sweep missed despite residency")
-	}
-}
-
 func TestStateResidencyBehaviour(t *testing.T) {
 	// The Figure 3 mechanism: back-to-back handler entries hit; handler
 	// entries separated by an application sweep that floods the cache

@@ -64,32 +64,6 @@ func pearson(xs, ys []float64) float64 {
 	return cov / math.Sqrt(vx*vy)
 }
 
-// TopKOverlap returns the fraction of a's first k entries present
-// anywhere in b's first k entries.
-func TopKOverlap(a, b []string, k int) float64 {
-	if k > len(a) {
-		k = len(a)
-	}
-	if k == 0 {
-		return 0
-	}
-	kb := k
-	if kb > len(b) {
-		kb = len(b)
-	}
-	set := make(map[string]bool, kb)
-	for _, s := range b[:kb] {
-		set[s] = true
-	}
-	hits := 0
-	for _, s := range a[:k] {
-		if set[s] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(k)
-}
-
 // MaxAbsErr returns the largest absolute difference between paired values.
 func MaxAbsErr(xs, ys []float64) float64 {
 	max := 0.0

@@ -93,27 +93,6 @@ func TestSpearmanBounds(t *testing.T) {
 	}
 }
 
-func TestTopKOverlap(t *testing.T) {
-	a := []string{"x", "y", "z", "w"}
-	b := []string{"y", "x", "q", "r"}
-	if got := TopKOverlap(a, b, 2); got != 1.0 {
-		t.Fatalf("top-2 overlap = %v, want 1.0 (sets equal)", got)
-	}
-	if got := TopKOverlap(a, b, 4); got != 0.5 {
-		t.Fatalf("top-4 overlap = %v, want 0.5", got)
-	}
-	if got := TopKOverlap(a, nil, 2); got != 0 {
-		t.Fatalf("overlap with empty = %v", got)
-	}
-	if got := TopKOverlap(nil, b, 2); got != 0 {
-		t.Fatalf("empty-a overlap = %v", got)
-	}
-	// k beyond len(a): clamps.
-	if got := TopKOverlap([]string{"x"}, []string{"x"}, 10); got != 1.0 {
-		t.Fatalf("clamped overlap = %v", got)
-	}
-}
-
 func TestErrMetrics(t *testing.T) {
 	xs := []float64{10, 20, 30}
 	ys := []float64{12, 18, 30}

@@ -26,6 +26,15 @@
 // simulated execution, so instrumentation cost (Figure 4) and cache
 // perturbation (Figure 3) are measurable via Overhead and the cache
 // statistics.
+//
+// SearchConfig and SamplerConfig expose the paper's parameters for each
+// technique (counters and initial interval for the search, miss interval
+// and spacing mode for sampling), the ablation switches, and the §5
+// automatic variants. The rest are fixed constants of the profilers: the
+// search grows idle intervals by 1.5x up to 16x, stops below a 1% residual
+// or after 100,000 iterations, and refines with 6 final passes at 12x the
+// interval; the sampler charges 60 instructions and a 24-line handler
+// footprint per sample. Timesharing rotates every 100,000 cycles.
 package membottle
 
 import (
@@ -181,10 +190,9 @@ type Config struct {
 	Counters int
 	// Timeshare, if positive, emulates having only that many physical
 	// conditional counters, multiplexed across the programmed regions
-	// every TimeshareQuantum cycles (the paper's "timesharing the single
+	// every timeshareQuantum cycles (the paper's "timesharing the single
 	// conditional counter" alternative).
-	Timeshare        int
-	TimeshareQuantum uint64
+	Timeshare int
 	// SkipTruth disables the exact ground-truth accounting (the "Actual"
 	// column) that NewSystem attaches by default. Truth costs an object
 	// lookup on every miss, so runs whose truth nobody reads set it: the
@@ -216,6 +224,10 @@ type Config struct {
 	// nil check per batch.
 	Obs *Obs
 }
+
+// timeshareQuantum is how many cycles each group of regions holds the
+// physical counters under Config.Timeshare before they rotate on.
+const timeshareQuantum = 100_000
 
 // DefaultConfig returns the paper's evaluation configuration.
 func DefaultConfig() Config {
@@ -263,11 +275,7 @@ func NewSystem(cfg Config) *System {
 	c := cache.New(cfg.Cache)
 	p := pmu.New(cfg.Counters)
 	if cfg.Timeshare > 0 {
-		q := cfg.TimeshareQuantum
-		if q == 0 {
-			q = 100_000
-		}
-		p.EnableTimesharing(cfg.Timeshare, q)
+		p.EnableTimesharing(cfg.Timeshare, timeshareQuantum)
 	}
 	m := machine.New(space, c, p, cfg.Costs)
 	m.Scalar = cfg.ScalarRefs
