@@ -12,7 +12,10 @@ import (
 // TestAllocGate pins representative measurement at zero allocations per
 // representative: the warmup replay, the snapshot hand-off through the
 // reused buffer, the measured sweep, and per-miss attribution into the
-// caller-provided counts slot, with functional warmup on and off.
+// caller-provided counts slot, with functional warmup on and off. It
+// also pins capture into recycled trace-store blocks at zero
+// allocations: once a capture has released its blocks, a repeat capture
+// of the same length makes none.
 func TestAllocGate(t *testing.T) {
 	cfg := cache.DefaultConfig()
 	space := mem.NewSpace()
@@ -57,7 +60,26 @@ func TestAllocGate(t *testing.T) {
 		w.attribute(chunk, &out)
 	}
 
+	// Two full blocks and part of a third, delivered in slices the size
+	// of a capture machine's buffer, then released for the next capture.
+	var snk captureSink
+	delivery := make([]uint64, 4096)
+	for i := range delivery {
+		delivery[i] = mem.PackRun(base+mem.Addr(i*cfg.LineSize), 1)
+	}
+	captureRelease := func() {
+		for n := 0; n <= 2*blockEntries; n += len(delivery) {
+			snk.ConsumeRuns(delivery, uint64(len(delivery)), 0, 0)
+		}
+		snk.store.release()
+		snk.marks, snk.nRefs = snk.marks[:0], 0
+	}
+
 	alloctest.Gate(t, []alloctest.Case{
+		// The first capture makes the blocks and sizes the marks and the
+		// free list; later ones only recycle.
+		{Name: "interval.captureSink.ConsumeRuns/recycled", Runs: 5,
+			Warmup: captureRelease, Op: captureRelease},
 		// The first call sizes the reused missIdx and snapshot buffers.
 		{Name: "interval.repWorker.measureRep/warmup-prev", Runs: 20,
 			Warmup: measure(WarmupPrev), Op: measure(WarmupPrev)},

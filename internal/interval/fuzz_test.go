@@ -12,19 +12,36 @@ import (
 // exactly in both reference space and entry space (interval refs sum to
 // the captured total), every span's recorded reference count equals a
 // re-walk of its entries, cuts land only on run boundaries, and a span
-// overshoots its nominal size by less than one maximal run.
+// overshoots its nominal size by less than one maximal run. Each input
+// releases its store, so later inputs run over recycled blocks that are
+// never zeroed: a read past a store's length would show up as a span
+// whose re-walk disagrees with its recorded count.
 func FuzzIntervalPartition(f *testing.F) {
 	f.Add(uint64(1), uint(5000), uint(0), uint(100))
 	f.Add(uint64(42), uint(1), uint(4096), uint(1))
 	f.Add(uint64(7), uint(40000), uint(1000), uint(4096))
 	f.Add(uint64(9), uint(0), uint(64), uint(16))
+	// Crosses the first block boundary; the seed after it stores into
+	// the blocks this one released.
+	f.Add(uint64(5), uint(51_000), uint(1<<15), uint(4000))
+	f.Add(uint64(11), uint(5000), uint(512), uint(700))
 	f.Fuzz(func(t *testing.T, seed uint64, n, isize, chunkLen uint) {
-		n %= 50_000
+		// Streams stay under 50,000 entries, except that n in
+		// [50,000, 60,000) selects one just past the first block
+		// boundary: its spans straddle two blocks, and its full-size
+		// blocks reach the free list for later inputs to recycle.
+		n %= 60_000
+		if n >= 50_000 {
+			n += blockEntries - 50_000
+		}
 		isize %= 1 << 16
 		chunkLen = 1 + chunkLen%4096
 		rng := seed | 1
 
 		snk := &captureSink{}
+		// Release the store however the input ends, so the next input
+		// stores into recycled blocks that still hold this one's entries.
+		defer snk.store.release()
 		var buf []uint64
 		var refs uint64
 		emit := func() {

@@ -24,6 +24,13 @@
 // generator with fixed tie-breaks, and representative measurements are
 // slotted by cluster index, so the extrapolated tables are byte-identical
 // across runs and across worker counts.
+//
+// The trace store is built from 8 MiB blocks, and the full-size ones are
+// recycled across runs through a process-wide free list, so a repeat run
+// zeroes no fresh block. Recycled blocks are never zeroed: every reader
+// of the store stays within the entries this run wrote. The free list
+// keeps every block returned to it, so the process retains at most the
+// largest number of full-size blocks that were live at once.
 package interval
 
 import (
@@ -186,19 +193,53 @@ type Result struct {
 // blockEntries is the trace store's block granularity: 8 MiB of packed
 // run entries per block, so storing a long capture never re-copies the
 // trace the way a single growing slice would. The first block grows
-// geometrically from smallBlockEntries up to blockEntries (see room): a
+// geometrically from smallBlockEntries up to blockEntries (see grow): a
 // reference-sparse workload must not pay for zeroing and faulting a full
 // 8 MiB block it will never fill — for the sparsest seed app that alone
 // costs several times its whole full-engine run.
+//
+// Full-size blocks are recycled across runs through a process-wide free
+// list (see release): a store takes a free block before it makes one,
+// and skips the small-block ramp when it can, so a repeat run of the
+// same cell zeroes no fresh block. Recycled blocks are not zeroed. That
+// is safe because every reader of the store stays within len, and the
+// store only grows len by appending captured entries. The free list
+// keeps every block it is given, so the process retains at most the
+// largest number of full blocks that were live at once.
 const (
 	blockEntries      = 1 << 20
 	smallBlockEntries = 1 << 14
 )
 
+// freeBlocks is the process-wide free list of full-size trace-store
+// blocks. It is a plain mutex-guarded slice rather than a sync.Pool: a
+// pool may be emptied by any garbage collection, and a run that finds
+// it empty pays for fresh zeroed blocks again.
+var freeBlocks struct {
+	sync.Mutex
+	list [][]uint64
+}
+
+// takeBlock pops a recycled block with length 0 and capacity
+// blockEntries, or returns nil when the free list is empty.
+func takeBlock() []uint64 {
+	freeBlocks.Lock()
+	defer freeBlocks.Unlock()
+	n := len(freeBlocks.list)
+	if n == 0 {
+		return nil
+	}
+	b := freeBlocks.list[n-1]
+	freeBlocks.list[n-1] = nil
+	freeBlocks.list = freeBlocks.list[:n-1]
+	return b[:0]
+}
+
 // traceStore holds the captured stream run-compacted (mem.PackRun
 // entries, one per maximal same-line run) in fixed-size blocks. Indices
 // into the store are entry indices; reference-space positions live on
-// the Spans planned over it.
+// the Spans planned over it. Its full-size blocks may be recycled from
+// an earlier run and go back to the free list on release.
 type traceStore struct {
 	full [][]uint64 // completed blocks, each exactly blockEntries long
 	cur  []uint64   // block being filled
@@ -214,25 +255,41 @@ func (t *traceStore) room() {
 	t.grow()
 }
 
-// grow expands the current block geometrically below blockEntries and
-// rotates it into full once it reaches exactly blockEntries (keeping
-// forSpan's uniform block indexing).
+// grow rotates a filled full-size block into full, then continues in a
+// recycled block when one is free, copying a small block's entries over.
+// Without one it makes the next block: geometrically larger below
+// blockEntries while the store is still in its first block, full-size
+// after. Every block in full is exactly blockEntries long, keeping
+// forSpan's uniform block indexing.
 func (t *traceStore) grow() {
-	switch {
-	case cap(t.cur) == 0:
-		t.cur = make([]uint64, 0, smallBlockEntries)
-	case cap(t.cur) < blockEntries:
-		nc := cap(t.cur) * 8
-		if nc > blockEntries {
-			nc = blockEntries
-		}
-		nb := make([]uint64, len(t.cur), nc)
-		copy(nb, t.cur)
-		t.cur = nb
-	default:
+	if cap(t.cur) == blockEntries {
 		t.full = append(t.full, t.cur)
-		t.cur = make([]uint64, 0, blockEntries)
+		t.cur = nil
 	}
+	b := takeBlock()
+	if b == nil {
+		nc := blockEntries
+		if len(t.full) == 0 {
+			nc = min(max(cap(t.cur)*8, smallBlockEntries), blockEntries)
+		}
+		b = make([]uint64, 0, nc)
+	}
+	t.cur = append(b, t.cur...)
+}
+
+// release hands the store's full-size blocks to the free list and
+// empties the store. Call it only after the last read of the store's
+// entries; a second call is a no-op.
+func (t *traceStore) release() {
+	freeBlocks.Lock()
+	freeBlocks.list = append(freeBlocks.list, t.full...)
+	if cap(t.cur) == blockEntries {
+		freeBlocks.list = append(freeBlocks.list, t.cur)
+	}
+	freeBlocks.Unlock()
+	t.full = t.full[:0]
+	t.cur = nil
+	t.n = 0
 }
 
 // push appends one run entry.
@@ -537,6 +594,10 @@ func Run(ctx context.Context, w machine.Workload, budget uint64, cfg Config) (*R
 		return nil, err
 	}
 	snk := &captureSink{}
+	// Every read of the store, the representative workers' included,
+	// ends before Run returns, so its blocks go back to the free list on
+	// every path out.
+	defer snk.store.release()
 	if err := p.Run(ctx, budget, snk); err != nil {
 		return nil, err
 	}
