@@ -17,8 +17,8 @@
 //   - obs-table1, obs-figure3: the batched engine with the observability
 //     bundle off vs on, the instrumentation cost of observing the
 //     simulator itself.
-//   - truth: the sequential ground-truth engine vs the set-sharded one
-//     across a worker sweep.
+//   - truth: the sequential ground-truth engine (the live machine with
+//     truth attached) vs the captured one (internal/shard).
 //   - intervals: full-run ground truth vs the representative-interval
 //     engine, with each app's worst per-counter relative error reported.
 //
@@ -142,19 +142,6 @@ func families(budget uint64) []family {
 		return sys.Machine.Cache.Stats.Accesses(), nil
 	}
 
-	// truth sweeps the sharded engine's worker count (1, 2, 4, NumCPU);
-	// the aggregate compares the sequential total against the widest.
-	workerSweep := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		workerSweep = append(workerSweep, n)
-	}
-	truthModes := []string{"seq"}
-	workersOf := map[string]int{}
-	for _, w := range workerSweep {
-		mode := fmt.Sprintf("shard-w%d", w)
-		truthModes = append(truthModes, mode)
-		workersOf[mode] = w
-	}
 	runTruth := func(app, mode string) (uint64, error) {
 		if mode == "seq" {
 			return runApp(app, config(false, false), false, budget)
@@ -163,7 +150,7 @@ func families(budget uint64) []family {
 		if err != nil {
 			return 0, err
 		}
-		res, err := shard.Run(nil, w, budget, shard.Config{Workers: workersOf[mode]})
+		res, err := shard.Run(nil, w, budget, shard.Config{})
 		if err != nil {
 			return 0, err
 		}
@@ -171,7 +158,7 @@ func families(budget uint64) []family {
 	}
 
 	// intervals: the A side is the experiments layer's full-run ground
-	// truth (the sharded engine Table 1's "Actual" column comes from), the
+	// truth (the captured engine Table 1's "Actual" column comes from), the
 	// B side extrapolates from cluster representatives only. Its truth
 	// tables are estimates, so each app's error against the exact tables
 	// is checked — the speed is only worth having while the differential
@@ -210,7 +197,7 @@ func families(budget uint64) []family {
 		{name: "replay", modes: engineAB, prepare: recordReplay, run: runReplay},
 		{name: "obs-table1", modes: obsModes, run: obsAB(false)},
 		{name: "obs-figure3", modes: obsModes, run: obsAB(true)},
-		{name: "truth", modes: truthModes, run: runTruth},
+		{name: "truth", modes: []string{"seq", "shard"}, run: runTruth},
 		{name: "intervals", modes: []string{"full", "intervals"}, run: runIntervals, check: checkIntervals},
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -89,16 +90,9 @@ func main() {
 		opt.Faults = fc
 	}
 	emit := func(t *report.Table) {
-		var err error
-		if *csv {
-			err = t.RenderCSV(os.Stdout)
-		} else {
-			err = t.Render(os.Stdout)
-		}
-		if err != nil {
+		if err := render(os.Stdout, t, *csv); err != nil {
 			fatal(err)
 		}
-		fmt.Println()
 	}
 
 	// reportCells lists every failed cell on stderr; the table has
@@ -129,13 +123,8 @@ func main() {
 		// fallthrough to resonance check
 	case 1:
 		rs, err := experiments.Table1(opt)
-		emit(experiments.RenderTable1(rs))
-		for _, r := range rs {
-			if r.Err != nil {
-				continue
-			}
-			fmt.Printf("# %s: %d samples (interval %d), search %d iterations (converged=%v)\n",
-				r.App, r.SampleCount, r.SampleInterval, r.SearchIterations, r.SearchConverged)
+		if werr := writeTable1(os.Stdout, rs, *csv); werr != nil {
+			fatal(werr)
 		}
 		reportCells(err)
 		ran = true
@@ -174,6 +163,39 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// render writes t as aligned text or CSV, then a blank line.
+func render(w io.Writer, t *report.Table, csv bool) error {
+	var err error
+	if csv {
+		err = t.RenderCSV(w)
+	} else {
+		err = t.Render(w)
+	}
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintln(w)
+	return err
+}
+
+// writeTable1 writes what -table 1 prints: the table, then one line per
+// served application with its sample count and search iterations.
+func writeTable1(w io.Writer, rs []experiments.AppResult, csv bool) error {
+	if err := render(w, experiments.RenderTable1(rs), csv); err != nil {
+		return err
+	}
+	for _, r := range rs {
+		if r.Err != nil {
+			continue
+		}
+		if _, err := fmt.Fprintf(w, "# %s: %d samples (interval %d), search %d iterations (converged=%v)\n",
+			r.App, r.SampleCount, r.SampleInterval, r.SearchIterations, r.SearchConverged); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -6,8 +6,8 @@ import (
 	"membottle/internal/mem"
 )
 
-// NewPartition builds the cache for one shard of the set-sharded
-// engines. Under LRU, set-associative behaviour is exactly decomposable
+// NewPartition builds the cache for one shard of a set-sharded sweep;
+// outside tests only the benchmark's probes still shard. Under LRU, set-associative behaviour is exactly decomposable
 // by set index — references mapping to different sets never interact —
 // so partitioning the set space round-robin (set mod shards) and
 // replaying each partition's reference subsequence through an

@@ -61,13 +61,16 @@ type Options struct {
 	// concurrently) and flushes each run's totals into its registry.
 	Obs *membottle.Obs
 	// SeqTruth forces uninstrumented ("plain") ground-truth runs onto the
-	// sequential engine instead of the set-sharded parallel one. Output
-	// is byte-identical either way (the shard differential tests enforce
+	// sequential engine (the live machine with truth attached) instead of
+	// the captured one (internal/shard). Output is byte-identical either
+	// way (the shard differential tests and the Table 1 golden enforce
 	// it); the sequential engine is the oracle baseline and what
 	// cmd/mbbench's truth family measures speedups against.
 	SeqTruth bool
-	// TruthWorkers is the worker count for the sharded ground-truth
-	// engine; 0 selects GOMAXPROCS. Ignored when SeqTruth is set.
+	// TruthWorkers sizes the representative-interval engine's worker
+	// goroutines in the interval report; 0 selects GOMAXPROCS. Exact
+	// plain runs ignore it: the captured engine sweeps on the caller's
+	// goroutine.
 	TruthWorkers int
 	// TruthCache, when non-nil, memoizes plain ground-truth runs across
 	// the experiments of one invocation, keyed by application and

@@ -47,10 +47,10 @@ func superviseRun(opt Options, sys *membottle.System, app string, budget uint64)
 
 // runPlain executes a workload uninstrumented and returns ground truth
 // plus the run's overhead-free statistics. Plain runs are served by the
-// set-sharded parallel engine whenever the options permit (no scalar
-// oracle, no sanitizer, no fault injection), falling back to the
+// captured engine (internal/shard) whenever the options permit (no
+// scalar oracle, no sanitizer, no fault injection), falling back to the
 // sequential engine otherwise or when the workload is outside the
-// sharded engine's static preconditions; results are byte-identical
+// captured engine's static preconditions; results are byte-identical
 // either way. With a TruthCache attached, identical baseline runs are
 // simulated once per invocation and shared; with a persistent Store
 // attached too, they are shared across invocations — the lookup path is
@@ -65,7 +65,7 @@ func runPlain(opt Options, app string, budget uint64) (*truth.Counter, membottle
 	return runPlainStored(opt, app, budget)
 }
 
-// shardEligible reports whether plain runs may use the sharded engine:
+// shardEligible reports whether plain runs may use the captured engine:
 // the scalar flag pins runs to the trusted per-reference baseline, the
 // sanitizer needs the machine's own cache and interrupt boundaries, and
 // fault injection wires into the sequential system's PMU.
@@ -90,17 +90,14 @@ func runPlainUncached(opt Options, app string, budget uint64) (*truth.Counter, m
 	return sys.Truth, sys.Overhead(), nil
 }
 
-// runCaptured serves a plain run from the set-sharded engine. A
+// runCaptured serves a plain run from the captured engine. A
 // capture.ErrFallback means only the sequential engine can serve it.
 func runCaptured(opt Options, app string, budget uint64) (*truth.Counter, membottle.Overhead, error) {
 	w, err := membottle.NewWorkload(app)
 	if err != nil {
 		return nil, membottle.Overhead{}, err
 	}
-	res, err := shard.Run(opt.Ctx, w, budget, shard.Config{
-		Workers: opt.TruthWorkers,
-		Obs:     opt.Obs,
-	})
+	res, err := shard.Run(opt.Ctx, w, budget, shard.Config{Obs: opt.Obs})
 	if err != nil {
 		return nil, membottle.Overhead{}, err
 	}

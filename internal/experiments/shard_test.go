@@ -6,13 +6,13 @@ import (
 
 // TestTable1ShardedMatchesSequentialTruth extends the engine-equivalence
 // contract to the published tables: routing plain ground-truth runs
-// through the set-sharded parallel engine (the default) must render the
-// same bytes as forcing them onto the sequential engine.
+// through the captured engine (the default) must render the same bytes
+// as forcing them onto the sequential engine.
 func TestTable1ShardedMatchesSequentialTruth(t *testing.T) {
 	apps := []string{"mgrid", "figure2", "compress"}
 	const budget = 4_000_000
 
-	sharded, err := Table1(Options{Apps: apps, Budget: budget, Parallel: 1, TruthWorkers: 4})
+	sharded, err := Table1(Options{Apps: apps, Budget: budget, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 // (cache geometry, search width and initial interval, fixed sampling
 // mode, cost model) stay out of the key; a change to any of them bumps
 // store.SchemaVersion instead. Exact engine selection (scalar,
-// sequential vs. sharded, worker count) is deliberately excluded because
+// sequential vs. captured) is deliberately excluded because
 // those engines are byte-identical by contract, enforced by the
 // differential tests.
 

@@ -18,7 +18,7 @@ import (
 // Entries are keyed by what a caller can vary about a plain run: the
 // application and the budget. Everything else that shapes it (the cache
 // geometry, the cost model) is a program constant. Exact engine
-// selection (scalar, sequential, sharded, worker count) is deliberately
+// selection (scalar, sequential, captured) is deliberately
 // excluded: those engines produce byte-identical results by contract,
 // enforced by the differential tests. Only exact engines serve plain
 // runs; the approximate interval engine never does. Failed runs are not

@@ -6,13 +6,14 @@ import (
 )
 
 // Resolver is an immutable snapshot of the map's address-to-object
-// resolution, built for the sharded ground-truth engine: each shard worker
-// owns a private Resolver, so per-miss attribution never touches the
-// shared Map's lookup cache (which mutates on every hit) and workers can
-// resolve concurrently without synchronization.
+// resolution, built for the capture-based ground-truth engines: each
+// consumer owns a private Resolver, so per-miss attribution never touches
+// the shared Map's lookup cache (which mutates on every hit) and the
+// interval engine's workers can resolve concurrently without
+// synchronization.
 //
 // A Resolver freezes the set of live objects at construction time. The
-// sharded engine only uses it for runs whose object map is static after
+// capture engines only use it for runs whose object map is static after
 // workload setup (the capture machine detects mid-run allocation and falls
 // back to the sequential engine otherwise), so Lookup agrees exactly with
 // Map.Lookup over the whole run.

@@ -41,15 +41,10 @@ type Obs struct {
 	FaultsInjected  *Counter   // faults.injected: faults delivered across runs
 	Runs            *Counter   // sim.runs: systems flushed into this registry
 
-	// Sharded ground-truth engine instruments. The capture engines'
+	// Representative-interval engine instruments. The capture engines'
 	// once-per-run counters, <engine>.runs (plain runs served) and
 	// <engine>.fallbacks (runs demoted to the sequential engine), are
 	// registered by New and updated by name in internal/capture.
-	ShardChunks     *Counter   // shard.chunks: chunks of run entries streamed to workers
-	ShardWorkerRefs *Histogram // shard.worker_refs: references replayed per worker
-	ShardWorkerMiss *Histogram // shard.worker_misses: misses attributed per worker
-
-	// Representative-interval engine instruments.
 	IntervalCount   *Counter // interval.intervals: intervals fingerprinted across runs
 	IntervalRepSims *Counter // interval.rep_sims: cluster representatives simulated
 
@@ -108,9 +103,6 @@ func New(opt Options) *Obs {
 	for _, name := range []string{"shard.runs", "shard.fallbacks", "interval.runs", "interval.fallbacks"} {
 		r.Counter(name)
 	}
-	o.ShardChunks = r.Counter("shard.chunks")
-	o.ShardWorkerRefs = r.Histogram("shard.worker_refs", WindowBuckets)
-	o.ShardWorkerMiss = r.Histogram("shard.worker_misses", WindowBuckets)
 	o.IntervalCount = r.Counter("interval.intervals")
 	o.IntervalRepSims = r.Counter("interval.rep_sims")
 	o.StoreHits = r.Counter("store.hits")

@@ -3,8 +3,6 @@ package shard_test
 import (
 	"errors"
 	"fmt"
-	"math/bits"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -46,24 +44,23 @@ func sequentialTruth(t *testing.T, app string, budget uint64) (string, *membottl
 	return renderTruth(t, sys.Truth, m.Cache.Stats, m.Cycles, m.Insts, m.AppInsts), sys
 }
 
-// shardedTruth runs the app on the sharded engine and renders it.
-func shardedTruth(t *testing.T, app string, budget uint64, workers int) (string, *shard.Result) {
+// shardedTruth runs the app on the captured engine and renders it.
+func shardedTruth(t *testing.T, app string, budget uint64) (string, *shard.Result) {
 	t.Helper()
 	w, err := workload.New(app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := shard.Run(nil, w, budget, shard.Config{Workers: workers})
+	res, err := shard.Run(nil, w, budget, shard.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return renderTruth(t, res.Truth, res.Stats, res.Cycles, res.Insts, res.AppInsts), res
 }
 
-// TestShardedMatchesSequential is the engine's core contract: for every
-// tested worker count the merged output is byte-identical to the
-// sequential engine — ranked tables, totals, cache statistics, and the
-// reconstructed machine counters.
+// TestShardedMatchesSequential is the engine's core contract: its output
+// is byte-identical to the sequential engine — ranked tables, totals,
+// cache statistics, and the reconstructed machine counters.
 func TestShardedMatchesSequential(t *testing.T) {
 	apps := []string{"mgrid", "figure2", "compress"}
 	if !testing.Short() {
@@ -73,27 +70,10 @@ func TestShardedMatchesSequential(t *testing.T) {
 	for _, app := range apps {
 		t.Run(app, func(t *testing.T) {
 			want, _ := sequentialTruth(t, app, budget)
-			for _, workers := range []int{1, 2, 4, 7} {
-				got, res := shardedTruth(t, app, budget, workers)
-				if got != want {
-					t.Errorf("workers=%d (shards=%d): sharded truth diverges from sequential\nsequential:\n%s\nsharded:\n%s",
-						workers, res.Shards, want, got)
-				}
+			if got, _ := shardedTruth(t, app, budget); got != want {
+				t.Errorf("captured truth diverges from sequential\nsequential:\n%s\ncaptured:\n%s", want, got)
 			}
 		})
-	}
-}
-
-// TestShardedSingleProc pins GOMAXPROCS to 1 and re-checks equivalence
-// with multiple shards: correctness must not depend on real parallelism.
-func TestShardedSingleProc(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	const app, budget = "mgrid", 2_000_000
-	want, _ := sequentialTruth(t, app, budget)
-	got, _ := shardedTruth(t, app, budget, 4)
-	if got != want {
-		t.Errorf("GOMAXPROCS=1: sharded truth diverges\nsequential:\n%s\nsharded:\n%s", want, got)
 	}
 }
 
@@ -124,36 +104,36 @@ func (s *setupRefs) Step(m *machine.Machine) { m.LoadRange(s.base, 4096, 64, 1) 
 // the sequential engine via ErrFallback rather than producing wrong
 // attribution against a stale object-map snapshot.
 func TestShardedFallback(t *testing.T) {
-	if _, err := shard.Run(nil, &allocStep{}, 100_000, shard.Config{Workers: 2}); !errors.Is(err, capture.ErrFallback) || !strings.Contains(err.Error(), "sequential") {
+	if _, err := shard.Run(nil, &allocStep{}, 100_000, shard.Config{}); !errors.Is(err, capture.ErrFallback) || !strings.Contains(err.Error(), "sequential") {
 		t.Errorf("mid-run allocation: want ErrFallback, got %v", err)
 	}
-	if _, err := shard.Run(nil, &setupRefs{}, 100_000, shard.Config{Workers: 2}); !errors.Is(err, capture.ErrFallback) || !strings.Contains(err.Error(), "sequential") {
+	if _, err := shard.Run(nil, &setupRefs{}, 100_000, shard.Config{}); !errors.Is(err, capture.ErrFallback) || !strings.Contains(err.Error(), "sequential") {
 		t.Errorf("setup references: want ErrFallback, got %v", err)
 	}
 }
 
-// TestShardedObs checks the shard instruments against the run they
-// describe: the per-worker reference histogram counts references, not run
-// entries, so its sum is the run's cache.refs.
+// TestShardedObs checks the instruments a captured run records against
+// the run they describe: one run served, and the end-of-run cache totals
+// equal to the result's statistics.
 func TestShardedObs(t *testing.T) {
 	w, err := workload.New("mgrid")
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := obs.New(obs.Options{NoTrace: true})
-	res, err := shard.Run(nil, w, 2_000_000, shard.Config{Workers: 4, Obs: o})
+	res, err := shard.Run(nil, w, 2_000_000, shard.Config{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := o.Registry.Counter("cache.refs").Value()
-	if refs == 0 || refs != res.Stats.Accesses() {
-		t.Fatalf("cache.refs = %d, run made %d references", refs, res.Stats.Accesses())
+	r := o.Registry
+	if n := r.Counter("shard.runs").Value(); n != 1 {
+		t.Errorf("shard.runs = %d, want 1", n)
 	}
-	if sum := o.ShardWorkerRefs.Sum(); sum != refs {
-		t.Errorf("shard.worker_refs sums to %d, cache.refs is %d", sum, refs)
+	if refs := r.Counter("cache.refs").Value(); refs == 0 || refs != res.Stats.Accesses() {
+		t.Errorf("cache.refs = %d, run made %d references", refs, res.Stats.Accesses())
 	}
-	if n := o.ShardWorkerRefs.Count(); n != uint64(res.Shards) {
-		t.Errorf("shard.worker_refs has %d observations, want one per shard (%d)", n, res.Shards)
+	if misses := r.Counter("cache.misses").Value(); misses == 0 || misses != res.Stats.Misses {
+		t.Errorf("cache.misses = %d, run missed %d times", misses, res.Stats.Misses)
 	}
 }
 
@@ -162,7 +142,7 @@ func TestShardedObs(t *testing.T) {
 // trailing compute of every reference. With runs set, every step also
 // issues run-shaped traffic: a scalar same-line loop longer than
 // mem.MaxRunLen, which saturates and splits runs, and small-stride
-// ranges, whose runs straddle capture deliveries and shard chunks.
+// ranges, whose runs straddle capture deliveries.
 type fuzzWork struct {
 	seed  uint64
 	runs  bool
@@ -234,17 +214,16 @@ func (f *fuzzWork) Step(m *machine.Machine) {
 	}
 }
 
-// FuzzShardEquivalence cross-checks the sharded engine against the
-// sequential machine over random reference streams, cache geometries,
-// and worker counts.
+// FuzzShardEquivalence cross-checks the captured engine against the
+// sequential machine over random reference streams and cache geometries.
 func FuzzShardEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint(16), uint(6), uint(2), 4, uint64(200_000), false)
-	f.Add(uint64(42), uint(14), uint(5), uint(0), 1, uint64(100_000), false)
-	f.Add(uint64(7), uint(12), uint(6), uint(3), 16, uint64(50_000), false)
-	f.Add(uint64(3), uint(16), uint(6), uint(2), 4, uint64(290_000), true)
-	f.Add(uint64(99), uint(11), uint(4), uint(1), 1, uint64(250_000), true)
-	f.Add(uint64(5), uint(20), uint(7), uint(3), 7, uint64(120_000), true)
-	f.Fuzz(func(t *testing.T, seed uint64, sizeLog, lineLog, assocLog uint, workers int, budget uint64, runs bool) {
+	f.Add(uint64(1), uint(16), uint(6), uint(2), uint64(200_000), false)
+	f.Add(uint64(42), uint(14), uint(5), uint(0), uint64(100_000), false)
+	f.Add(uint64(7), uint(12), uint(6), uint(3), uint64(50_000), false)
+	f.Add(uint64(3), uint(16), uint(6), uint(2), uint64(290_000), true)
+	f.Add(uint64(99), uint(11), uint(4), uint(1), uint64(250_000), true)
+	f.Add(uint64(5), uint(20), uint(7), uint(3), uint64(120_000), true)
+	f.Fuzz(func(t *testing.T, seed uint64, sizeLog, lineLog, assocLog uint, budget uint64, runs bool) {
 		sizeLog = 10 + sizeLog%11 // 1 KiB .. 1 MiB
 		lineLog = 4 + lineLog%4   // 16 .. 128 B lines
 		assocLog = assocLog % 4   // 1 .. 8 ways
@@ -255,35 +234,125 @@ func FuzzShardEquivalence(f *testing.F) {
 		if cfg.Validate() != nil {
 			return
 		}
-		workers = 1 + abs(workers)%8
 		budget = 10_000 + budget%300_000
-
-		// Sequential oracle, built from the same parts as membottle.NewSystem.
-		seqW := &fuzzWork{seed: seed, runs: runs}
-		seqSys := membottle.NewSystem(membottle.Config{Cache: cfg})
-		seqSys.LoadWorkload(seqW)
-		seqSys.Run(budget)
-		m := seqSys.Machine
-		want := renderTruth(t, seqSys.Truth, m.Cache.Stats, m.Cycles, m.Insts, m.AppInsts)
-
-		res, err := shard.Run(nil, &fuzzWork{seed: seed, runs: runs}, budget, shard.Config{Cache: cfg, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := renderTruth(t, res.Truth, res.Stats, res.Cycles, res.Insts, res.AppInsts)
-		if got != want {
-			t.Errorf("seed=%d cfg=%+v workers=%d budget=%d runs=%v:\nsequential:\n%s\nsharded:\n%s",
-				seed, cfg, workers, budget, runs, want, got)
-		}
-		if res.Shards&(res.Shards-1) != 0 || bits.OnesCount(uint(res.Shards)) != 1 {
-			t.Errorf("shard count %d not a power of two", res.Shards)
+		want := sequentialWork(t, &fuzzWork{seed: seed, runs: runs}, cfg, budget)
+		if got := capturedWork(t, &fuzzWork{seed: seed, runs: runs}, cfg, budget); got != want {
+			t.Errorf("seed=%d cfg=%+v budget=%d runs=%v:\nsequential:\n%s\ncaptured:\n%s",
+				seed, cfg, budget, runs, want, got)
 		}
 	})
 }
 
-func abs(x int) int {
-	if x < 0 {
-		return -x
+// sequentialWork runs w on the sequential engine, built from the same
+// parts as membottle.NewSystem, and renders it.
+func sequentialWork(t *testing.T, w machine.Workload, cfg cache.Config, budget uint64) string {
+	t.Helper()
+	sys := membottle.NewSystem(membottle.Config{Cache: cfg})
+	sys.LoadWorkload(w)
+	sys.Run(budget)
+	m := sys.Machine
+	return renderTruth(t, sys.Truth, m.Cache.Stats, m.Cycles, m.Insts, m.AppInsts)
+}
+
+// capturedWork runs w on the captured engine and renders it.
+func capturedWork(t *testing.T, w machine.Workload, cfg cache.Config, budget uint64) string {
+	t.Helper()
+	res, err := shard.Run(nil, w, budget, shard.Config{Cache: cfg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return x
+	return renderTruth(t, res.Truth, res.Stats, res.Cycles, res.Insts, res.AppInsts)
+}
+
+// runBufEntries is the machine's run-buffer size: the capture delivers
+// at most this many run entries at a time.
+const runBufEntries = 1 << 12
+
+// attrWork issues hand-built miss patterns, one line per reference, that
+// exercise the engine's attribution by runs of misses. Every step
+// evicts everything the previous one touched from the test's small
+// cache, so each step misses the same way.
+type attrWork struct {
+	pair, end, gap, straddle bool
+
+	rx, ry, a, c, d, big mem.Addr
+}
+
+const (
+	attrLine  = 64
+	pairBytes = 16 << 10
+	endBytes  = 8 << 10
+	cBytes    = 1000 // not a multiple of mem.GlobalAlign: a gap follows C
+	bigBytes  = 2 * runBufEntries * attrLine
+)
+
+func (w *attrWork) Name() string { return "attr" }
+func (w *attrWork) Setup(m *machine.Machine) {
+	w.rx = m.Space.MustDefineGlobal("RX", pairBytes)
+	w.ry = m.Space.MustDefineGlobal("RY", pairBytes)
+	w.a = m.Space.MustDefineGlobal("A", endBytes)
+	m.Space.MustDefineGlobal("B", endBytes) // starts where A ends
+	w.c = m.Space.MustDefineGlobal("C", cBytes)
+	w.d = m.Space.MustDefineGlobal("D", 4<<10)
+	w.big = m.Space.MustDefineGlobal("BIG", bigBytes)
+}
+func (w *attrWork) Step(m *machine.Machine) {
+	if w.pair {
+		// tomcatv's RX/RY shape: the misses alternate objects every line.
+		var refs [2 * pairBytes / attrLine]machine.Ref
+		for i := 0; i < len(refs); i += 2 {
+			off := mem.Addr(i / 2 * attrLine)
+			refs[i] = machine.Ref{Addr: w.rx + off}
+			refs[i+1] = machine.Ref{Addr: w.ry + off, Write: true}
+		}
+		m.AccessBatch(refs[:])
+	}
+	if w.end {
+		// One range from the middle of A into B: the run of A's misses
+		// ends mid-buffer and B's begins.
+		m.LoadRange(w.a+endBytes/2, endBytes, attrLine, 0)
+	}
+	if w.gap {
+		// A matched miss, an unmatched one in the padding after C (its
+		// line holds C's last bytes, but the reference lies past C's
+		// end), then C again.
+		m.Load(w.c)
+		m.Load(w.c + cBytes + 8)
+		m.Load(w.c + attrLine)
+		m.LoadRange(w.d, 4<<10, attrLine, 0) // evicts C's lines
+	}
+	if w.straddle {
+		// Twice the run buffer of consecutive misses in one object: the
+		// run of misses crosses at least one delivery boundary.
+		m.StoreRange(w.big, bigBytes, attrLine, 1)
+	}
+}
+
+// TestRunAttribution compares the captured engine with the sequential
+// one on each hand-built miss pattern alone and on all of them in one
+// step: Truth, Total, Unmatched and Stats must agree byte for byte.
+func TestRunAttribution(t *testing.T) {
+	cfg := cache.Config{Size: 4 << 10, LineSize: attrLine, Assoc: 4}
+	const budget = 200_000
+	for _, tc := range []struct {
+		name string
+		w    attrWork
+	}{
+		{"alternating-pair", attrWork{pair: true}},
+		{"object-end", attrWork{end: true}},
+		{"unmatched-gap", attrWork{gap: true}},
+		{"delivery-straddle", attrWork{straddle: true}},
+		{"all", attrWork{pair: true, end: true, gap: true, straddle: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seq, capt := tc.w, tc.w
+			want := sequentialWork(t, &seq, cfg, budget)
+			if got := capturedWork(t, &capt, cfg, budget); got != want {
+				t.Errorf("captured truth diverges from sequential\nsequential:\n%s\ncaptured:\n%s", want, got)
+			}
+			if unmatched := !strings.Contains(want, "unmatched=0\n"); unmatched != tc.w.gap {
+				t.Errorf("unmatched misses: %v, want %v:\n%s", unmatched, tc.w.gap, want)
+			}
+		})
+	}
 }

@@ -45,8 +45,8 @@ type Counter struct {
 }
 
 // NewCounter builds a detached counter over the given object map, not
-// observing any machine. The sharded ground-truth engine uses detached
-// counters as merge targets: shard workers accumulate Partial tallies and
+// observing any machine. The capture-based ground-truth engines use
+// detached counters as merge targets: they accumulate Partial tallies and
 // Merge folds them in, producing output identical to a Counter that
 // observed the same run through a machine's OnMiss hook.
 func NewCounter(om *objmap.Map) *Counter {
@@ -160,21 +160,19 @@ func (c *Counter) Series(name string) []uint64 {
 // Buckets returns the number of time buckets recorded.
 func (c *Counter) Buckets() int { return len(c.buckets) }
 
-// --- shard merging --------------------------------------------------------
+// --- merging ---------------------------------------------------------------
 
-// Partial is one shard's ground-truth contribution: per-object miss
-// tallies indexed by dense object ID, plus the shard's total and
-// unmatched miss counts. Shard workers fill Partials independently and
-// the merge step folds them into one Counter.
+// Partial is one ground-truth contribution from a detached tally:
+// per-object miss tallies indexed by dense object ID, plus its total and
+// unmatched miss counts. Merge folds Partials into one Counter.
 type Partial struct {
 	Counts    []uint64
 	Total     uint64
 	Unmatched uint64
 }
 
-// Merge folds shard partials into the counter. Per-set LRU simulation is
-// exactly decomposable, so summed per-object counts equal the sequential
-// engine's; the counts slice is trimmed to the highest object ID actually
+// Merge folds partials into the counter, summing per-object counts; the
+// counts slice is trimmed to the highest object ID actually
 // missed, matching the lazily grown slice the OnMiss hook would have
 // produced (State/Ranked output stays byte-identical).
 func (c *Counter) Merge(parts ...Partial) {
